@@ -4,6 +4,7 @@ encodings of the gap problem, and fine-grained qubit estimates.
 Submodules
 ----------
 poly3        polynomial type, evaluation, exact gap
+transform    subset-sum (zeta) and Moebius transforms, integer and GF(2)
 fastcount    mod-2^l polynomial counting of satisfying assignments
 statevector  dense little-endian state vector simulator
 circuits     diagonal-gate and constraint-style circuit encodings
@@ -26,6 +27,7 @@ from . import (
     permanents,
     poly3,
     statevector,
+    transform,
 )
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "permanents",
     "poly3",
     "statevector",
+    "transform",
 ]
 
 __version__ = "0.1.0"

@@ -205,10 +205,11 @@ def _cmd_gap(cfg: RunConfig, args, out: Output) -> int:
             raise UsageError(f"--restrict wants x<i>=<0|1>, got {spec!r}")
         f = poly3.restrict(f, j - 1, b)
     gap = poly3.gap_bruteforce(f, cap=config.brute_cap())
+    zeros = ((1 << f.n) + gap) // 2
     record = {
         "gap": gap,
-        "zeros": poly3.zeros_count(f),
-        "ones": (1 << f.n) - poly3.zeros_count(f),
+        "zeros": zeros,
+        "ones": (1 << f.n) - zeros,
         "n": f.n,
         "terms": len(f.linear) + len(f.quadratic) + len(f.cubic),
         "term_budget": poly3.max_terms(f.n),
@@ -897,14 +898,16 @@ SUBCOMMAND_OPERATIONS = {
         "poly3.parse_poly", "poly3.loads", "poly3.dumps", "poly3.from_json_dict",
         "poly3.to_json_dict", "poly3.to_text", "poly3.evaluate",
         "poly3.gap_bruteforce", "poly3.zeros_count", "poly3.restrict",
-        "poly3.max_terms", "config.brute_cap",
+        "poly3.max_terms", "config.brute_cap", "transform.term_masks",
+        "transform.words_for", "transform.zeta_gf2", "transform.packed_truth_tables",
     ],
     "count": [
         "poly3.truth_table", "fastcount.count_ones_lptwy", "fastcount.r_poly",
         "fastcount.qhat", "fastcount.eval_all", "fastcount.from_values",
         "fastcount.add", "fastcount.mul", "fastcount.constant",
         "fastcount.monomial", "fastcount.block_counts",
-        "fastcount.monomial_bound_check", "config.eval_cap",
+        "fastcount.monomial_bound_check", "config.eval_cap", "transform.zeta",
+        "transform.mobius",
     ],
     "simulate": [
         "statevector.circuit_loads", "statevector.circuit_from_json_dict",

@@ -17,6 +17,11 @@ converts to value tables and its inverse (Moebius) converts back, so
 products are pointwise in the value domain and automatically reduced by
 x^2 = x.  All arithmetic lives in uint64: 2^l divides 2^64, so wrapping
 multiplication and addition are exact mod 2^l after masking.
+
+F itself is built the same way for each block: the terms that survive
+the setting a are counted by their fixed-variable mask, and the zeta
+transform of those counts is F's value table.  Both transforms live in
+the transform module.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 
 from .config import eval_cap
 from .poly3 import CapExceeded, Poly3
+from .transform import mobius, term_masks, zeta
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,26 +99,12 @@ def monomial(m: int, l: int, var_mask: int, value: int = 1) -> MultilinearPoly:
     return MultilinearPoly(m=m, l=l, coeffs=coeffs)
 
 
-def _zeta_inplace(arr: np.ndarray, m: int) -> None:
-    # arr[y] becomes sum over subsets of y; one butterfly pass per bit
-    for b in range(m):
-        view = arr.reshape(-1, 2, 1 << b)
-        view[:, 1, :] += view[:, 0, :]
-
-
-def _mobius_inplace(arr: np.ndarray, m: int) -> None:
-    for b in range(m):
-        view = arr.reshape(-1, 2, 1 << b)
-        view[:, 1, :] -= view[:, 0, :]
-
-
 def eval_all(p: MultilinearPoly, cap: int | None = None) -> np.ndarray:
     """Value table over all 2^m points, entry y = p(y) mod 2^l."""
     limit = eval_cap() if cap is None else cap
     if p.m > limit:
         raise CapExceeded(f"eval_all: m = {p.m} exceeds cap {limit}")
-    table = p.coeffs.copy()
-    _zeta_inplace(table, p.m)
+    table = zeta(p.coeffs.copy())
     table &= np.uint64(p.mask)
     return table
 
@@ -123,7 +115,7 @@ def from_values(m: int, l: int, values: np.ndarray) -> MultilinearPoly:
     coeffs = np.array(values, dtype=np.uint64, copy=True)
     if coeffs.shape != (1 << m,):
         raise ValueError("value table must have 2^m entries")
-    _mobius_inplace(coeffs, m)
+    mobius(coeffs)
     coeffs &= np.uint64((1 << l) - 1)
     return MultilinearPoly(m=m, l=l, coeffs=coeffs)
 
@@ -145,38 +137,17 @@ def mul(p: MultilinearPoly, q: MultilinearPoly, cap: int | None = None) -> Multi
 # -- the counting pipeline ----------------------------------------------------
 
 
-def _split_term(term: tuple[int, ...], m: int, a: int) -> tuple[int, bool]:
-    """Reduce a term under the free-variable assignment a.
+def _int_value_table(masks: np.ndarray, a: int, m: int) -> np.ndarray:
+    """Monomial-sum values of f(y, a) over all 2^m fixed-variable points.
 
-    Returns (mask over the fixed variables, alive).  A term dies when
-    one of its free variables is assigned 0.
+    masks holds the variable masks of f's terms.  A term survives the
+    free-variable assignment a when all its free variables are set; the
+    surviving terms' fixed-variable masks, counted per mask, are the
+    integer coefficients whose zeta transform is the value table.
     """
-    mask = 0
-    for v in term:
-        if v < m:
-            mask |= 1 << v
-        elif not (a >> (v - m)) & 1:
-            return 0, False
-    return mask, True
-
-
-def _int_value_table(f: Poly3, a: int, m: int) -> np.ndarray:
-    """Monomial-sum values of f(y, a) over all 2^m fixed-variable points."""
-    table = np.zeros(1 << m, dtype=np.uint64)
-    for term in f.terms():
-        mask, alive = _split_term(term, m, a)
-        if not alive:
-            continue
-        if mask == 0:
-            table += np.uint64(1)
-            continue
-        view = table.reshape((2,) * m)
-        sel: list = [slice(None)] * m
-        for v in range(m):
-            if (mask >> v) & 1:
-                sel[m - 1 - v] = 1
-        view[tuple(sel)] += np.uint64(1)
-    return table
+    alive = ((masks >> m) & ~a) == 0
+    counts = np.bincount(masks[alive] & ((1 << m) - 1), minlength=1 << m)
+    return zeta(counts.astype(np.uint64))
 
 
 def _qhat_values(table: np.ndarray, l: int) -> np.ndarray:
@@ -211,7 +182,7 @@ def qhat(f: Poly3, a, l: int) -> MultilinearPoly:
         raise ValueError(f"free-variable count {t} out of range for n = {f.n}")
     m = f.n - t
     a_mask = sum(b << i for i, b in enumerate(bits))
-    table = _int_value_table(f, a_mask, m)
+    table = _int_value_table(term_masks(f.terms()), a_mask, m)
     return from_values(m, l, _qhat_values(table, l))
 
 
@@ -231,9 +202,10 @@ def r_poly(f: Poly3, t: int, l: int | None = None) -> MultilinearPoly:
             f"l = {l} aliases counts for t = {t} free variables; need 2^l > 2^t"
         )
     m = f.n - t
+    masks = term_masks(f.terms())
     total = np.zeros(1 << m, dtype=np.uint64)
     for a_mask in range(1 << t):
-        total += _qhat_values(_int_value_table(f, a_mask, m), l)
+        total += _qhat_values(_int_value_table(masks, a_mask, m), l)
     return from_values(m, l, total & np.uint64((1 << l) - 1))
 
 

@@ -25,6 +25,7 @@ from .circuits import (  # noqa: F401  (re-exported: promise thresholds live wit
     sgap_classify,
 )
 from .poly3 import CapExceeded, all_terms, max_terms
+from .transform import packed_truth_tables, term_masks, words_for
 
 SGAP_LABELS = ("YES", "NO", "NONPROMISE")
 
@@ -33,8 +34,9 @@ _EXACT_K_CAP = 4
 _MATRIX_BITS_CAP = 24
 _SUBSPACE_K_CAP = 4
 _SHARD = 4096
-# combo tables trade memory for speed; above this budget fall back to raw tables
-_COMBO_BYTES_CAP = 1 << 28
+# packed truth tables evaluated at once: bounds memory at every n up to the
+# cap, and a chunk that fits in a core's L2 cache keeps the transform fast
+_CHUNK_BYTES = 1 << 19
 
 
 def gaussian_moment_target(k: int) -> int:
@@ -69,89 +71,44 @@ class MomentReport:
             raise ValueError("sample count must be positive")
 
 
-def _packed_term_tables(n: int) -> np.ndarray:
-    """Truth table of every admissible term, bit-packed 64 points per word.
-
-    Row t holds the indicator of term t over all 2^n assignments, little
-    endian in both senses: assignment x lives at bit position x.
-    """
-    terms = all_terms(n)
-    points = 1 << n
-    x = np.arange(points, dtype=np.uint64)
-    words = max(1, points // 64)
-    tabs = np.zeros((len(terms), words), dtype=np.uint64)
-    for i, term in enumerate(terms):
-        bits = np.ones(points, dtype=bool)
-        for v in term:
-            bits &= (x >> np.uint64(v)) & np.uint64(1) == 1
-        raw = np.packbits(bits, bitorder="little")
-        if raw.size < 8 * words:
-            raw = np.concatenate([raw, np.zeros(8 * words - raw.size, dtype=np.uint8)])
-        tabs[i] = raw.view(np.uint64)
-    return tabs
-
-
 class GapSampler:
     """Draws gap values of uniformly random degree-3 polynomials.
 
     A polynomial is a uniform coefficient mask over the g1(n) admissible
-    terms; its truth table is the XOR of the selected term tables and the
-    gap is 2^n minus twice the popcount. Term tables are pre-combined in
-    groups of four (all 16 XOR combinations) when memory allows, which
-    quarters the rows touched per sample.
+    terms, which is its algebraic normal form: each selected term sets
+    the bit at its variable mask.  The sampler scatters a batch of masks
+    into bit-packed ANF rows, turns them into truth tables with one
+    batched GF(2) zeta transform, and reads each gap as 2^n minus twice
+    the row's popcount.  Rows go through in chunks of as many packed
+    tables as fit in _CHUNK_BYTES (at least one), so memory stays bounded
+    up to the sampling cap.
     """
 
-    def __init__(self, n: int, group: int = 4):
+    def __init__(self, n: int):
         cap = config.dist_cap()
         if n < 1 or n > cap:
             raise CapExceeded(f"sampling cap: need 1 <= n <= {cap}, got n={n}")
         self.n = n
         self.term_count = max_terms(n)
-        tabs = _packed_term_tables(n)
-        words = tabs.shape[1]
-        combo_bytes = (self.term_count // group + 1) * (1 << group) * words * 8
-        if group > 1 and combo_bytes <= _COMBO_BYTES_CAP:
-            self._group = group
-        else:
-            self._group = 1
-        if self._group == 1:
-            self._tables = tabs
-            return
-        ngroups = -(-self.term_count // group)
-        pad = ngroups * group - self.term_count
-        if pad:
-            tabs = np.vstack([tabs, np.zeros((pad, words), dtype=np.uint64)])
-        combos = np.zeros((ngroups, 1 << group, words), dtype=np.uint64)
-        for b in range(group):
-            half = 1 << b
-            combos[:, half : 2 * half, :] = combos[:, :half, :] ^ tabs[b::group][:ngroups, None, :]
-        self._tables = combos.reshape(ngroups * (1 << group), words)
-        self._offsets = (np.arange(ngroups, dtype=np.intp) << group)
-        self._weights = (1 << np.arange(group, dtype=np.int64))
-        self._pad = pad
+        self._masks = term_masks(all_terms(n))
 
     def gap_of_mask(self, mask: np.ndarray) -> int:
         """Exact gap of the polynomial selecting terms where mask is true."""
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.term_count,):
             raise ValueError(f"mask must have length {self.term_count}")
-        return self._eval(mask)
+        return int(self._gaps(mask[None, :])[0])
 
-    def _eval(self, mask: np.ndarray) -> int:
-        if self._group == 1:
-            rows = self._tables[mask]
-            if rows.shape[0] == 0:
-                ones = 0
-            else:
-                acc = np.bitwise_xor.reduce(rows, axis=0)
-                ones = int(np.bitwise_count(acc).sum())
-        else:
-            g = self._group
-            padded = np.concatenate([mask, np.zeros(self._pad, dtype=bool)])
-            states = padded.reshape(-1, g) @ self._weights
-            acc = np.bitwise_xor.reduce(self._tables[self._offsets + states], axis=0)
-            ones = int(np.bitwise_count(acc).sum())
-        return (1 << self.n) - 2 * ones
+    def _gaps(self, sel: np.ndarray) -> np.ndarray:
+        """Gap of the polynomial selected by each row of the bool array sel."""
+        out = np.empty(len(sel), dtype=np.int64)
+        step = max(1, _CHUNK_BYTES // (8 * words_for(self.n)))
+        for lo in range(0, len(sel), step):
+            part = sel[lo : lo + step]
+            tables = packed_truth_tables(part, self._masks, self.n)
+            ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+            out[lo : lo + len(part)] = (1 << self.n) - 2 * ones
+        return out
 
     def gaps(self, samples: int, seed: int) -> np.ndarray:
         """samples iid gap draws, deterministic in seed.
@@ -169,33 +126,20 @@ class GapSampler:
             m = min(_SHARD, samples - pos)
             rng = np.random.default_rng(child)
             sel = rng.integers(0, 2, size=(m, self.term_count), dtype=np.uint8).astype(bool)
-            for r in range(m):
-                out[pos + r] = self._eval(sel[r])
+            out[pos : pos + m] = self._gaps(sel)
             pos += m
         return out
 
 
 def _exhaustive_gaps(n: int) -> np.ndarray:
-    """Gap of every one of the 2^{g1(n)} polynomials, n small.
-
-    Truth tables fit in a machine word; the full family is built by the
-    doubling trick (XOR each term pattern into all previously built tables).
-    """
-    points = 1 << n
-    if points > 32:
-        raise CapExceeded("exhaustive enumeration needs 2^n <= 32")
-    patterns = []
-    for term in all_terms(n):
-        bits = 0
-        for x in range(points):
-            if all((x >> v) & 1 for v in term):
-                bits |= 1 << x
-        patterns.append(bits)
-    tables = np.zeros(1, dtype=np.uint32)
-    for p in patterns:
-        tables = np.concatenate([tables, tables ^ np.uint32(p)])
-    ones = np.bitwise_count(tables).astype(np.int64)
-    return points - 2 * ones
+    """Gap of every one of the 2^{g1(n)} polynomials, n small: entry i
+    selects term k of all_terms(n) for each bit k set in i."""
+    if n > _EXACT_N_CAP:
+        raise CapExceeded(f"exhaustive enumeration needs n <= {_EXACT_N_CAP}")
+    masks = term_masks(all_terms(n))
+    sel = (np.arange(1 << len(masks))[:, None] >> np.arange(len(masks))) & 1 == 1
+    ones = np.bitwise_count(packed_truth_tables(sel, masks, n)[:, 0]).astype(np.int64)
+    return (1 << n) - 2 * ones
 
 
 def exact_moment(n: int, k: int) -> MomentReport:

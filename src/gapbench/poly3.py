@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import brute_cap
+from .transform import packed_truth_tables, term_masks
 
 
 class ParseError(ValueError):
@@ -139,16 +140,16 @@ def evaluate(f: Poly3, x) -> int:
     return acc
 
 
+def _packed_table(f: Poly3) -> np.ndarray:
+    """f on all 2^n points, 64 per uint64 word (f(x) is bit x % 64 of word x // 64)."""
+    masks = term_masks(f.terms())
+    return packed_truth_tables(np.ones((1, len(masks)), dtype=bool), masks, f.n)[0]
+
+
 def truth_table(f: Poly3) -> np.ndarray:
     """0/1 uint8 table of f on all 2^n assignments (index bit i = var i)."""
-    tt = np.zeros(1 << f.n, dtype=np.uint8)
-    view = tt.reshape((2,) * f.n)
-    for term in f.terms():
-        sel: list = [slice(None)] * f.n
-        for i in term:
-            sel[f.n - 1 - i] = 1  # axis 0 is the most significant bit
-        view[tuple(sel)] ^= 1
-    return tt
+    packed = _packed_table(f).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(packed, bitorder="little")[: 1 << f.n]
 
 
 def gap_bruteforce(f: Poly3, cap: int | None = None) -> int:
@@ -165,7 +166,7 @@ _TABLE_LIMIT = 22
 
 def _gap_recursive(f: Poly3) -> int:
     if f.n <= _TABLE_LIMIT:
-        ones = int(truth_table(f).sum())
+        ones = int(np.bitwise_count(_packed_table(f)).sum())
         return (1 << f.n) - 2 * ones
     p0, c0 = restrict_with_constant(f, f.n - 1, 0)
     p1, c1 = restrict_with_constant(f, f.n - 1, 1)

@@ -20,7 +20,7 @@ from gapbench.cli import (
 )
 
 MODULES = ("avgcase", "circuits", "config", "cyclecover", "estimator",
-           "fastcount", "gapdist", "permanents", "poly3", "statevector")
+           "fastcount", "gapdist", "permanents", "poly3", "statevector", "transform")
 
 
 def run(capsys, *argv):
@@ -122,6 +122,22 @@ def test_gap_emit_json_round_trip(capsys, paper_poly, tmp_path):
     assert code == 0
     assert poly3.loads(emitted.read_text()) == poly3.loads(
         open(paper_poly).read())
+
+
+def test_gap_runs_brute_force_once(capsys, monkeypatch, paper_poly):
+    calls = []
+    real = poly3.gap_bruteforce
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(poly3, "gap_bruteforce", counted)
+    code, out, _ = run(capsys, "gap", "--poly", paper_poly, "--format", "structured")
+    assert code == 0
+    assert len(calls) == 1
+    rec = records(out)[0]
+    assert (rec["gap"], rec["zeros"], rec["ones"]) == (-2, 3, 5)
 
 
 # ------------------------------------------------------------------ count

@@ -1,7 +1,9 @@
 """Gap-distribution statistics: moments, counting identities, the
 Chebyshev mass polynomial, and promise fractions."""
 
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -247,10 +249,38 @@ def test_sampler_zero_mask_gives_full_gap():
         assert s.gap_of_mask(np.zeros(max_terms(n), dtype=bool)) == 1 << n
 
 
-def test_sampler_grouped_and_raw_paths_agree():
-    a = gd.GapSampler(16).gaps(64, seed=5)
-    b = gd.GapSampler(16, group=1).gaps(64, seed=5)
-    assert np.array_equal(a, b)
+def seed_contract_polys(n, samples, seed):
+    """The polynomials GapSampler(n).gaps(samples, seed) draws: one uniform
+    0/1 row over all_terms(n) per sample, shards of up to 4096 samples each
+    from its own SeedSequence child."""
+    terms = all_terms(n)
+    children = np.random.SeedSequence(seed).spawn(-(-samples // 4096))
+    for i, child in enumerate(children):
+        m = min(4096, samples - 4096 * i)
+        rows = np.random.default_rng(child).integers(0, 2, size=(m, len(terms)), dtype=np.uint8)
+        for row in rows:
+            yield Poly3.from_terms(n, [t for t, keep in zip(terms, row) if keep])
+
+
+def test_sampler_stream_frozen_and_exact():
+    gaps = gd.GapSampler(16).gaps(64, seed=5)
+    # sha256 of the stream as produced by the earlier per-term-table sampler
+    digest = hashlib.sha256(np.asarray(gaps, dtype="<i8").tobytes()).hexdigest()
+    assert digest == "85131f6d5c0ab049a03629ab3b9122ee117ed8b170900bc39925e3360ba1bef5"
+    assert gaps.tolist() == [gap_bruteforce(f) for f in seed_contract_polys(16, 64, 5)]
+
+
+def test_sampler_at_the_sampling_cap_is_exact_in_bounded_memory():
+    # n = 24 is the default sampling cap; one table of 2^24 points per
+    # term (2324 terms) would take 4.9 GB
+    tracemalloc.start()
+    try:
+        gaps = gd.GapSampler(24).gaps(2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert gaps.tolist() == [gap_bruteforce(f) for f in seed_contract_polys(24, 2, 1)]
 
 
 def test_sampler_deterministic_and_shard_stable():
