@@ -160,8 +160,9 @@ def gap_bruteforce(f: Poly3, cap: int | None = None) -> int:
     return _gap_recursive(f)
 
 
-# Above this size, split on the top variable to bound table memory.
-_TABLE_LIMIT = 22
+# Above this size, split on the top variable to bound table memory: a
+# packed table of 2^24 bits and its transform temporary take 4 MiB.
+_TABLE_LIMIT = 24
 
 
 def _gap_recursive(f: Poly3) -> int:
