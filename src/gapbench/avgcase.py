@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .circuits import classify_from_gap
 from .config import brute_cap
 from .poly3 import (
     CapExceeded,
@@ -52,15 +53,14 @@ class GapOracle:
         return value
 
 
-def exact_oracle(cap: int | None = None) -> GapOracle:
-    return GapOracle(kind="exact", rho=0.0, _fn=lambda f: gap_bruteforce(f, cap=cap))
+def exact_oracle() -> GapOracle:
+    return GapOracle(kind="exact", rho=0.0, _fn=gap_bruteforce)
 
 
-def make_corrupt_oracle(rho: float, seed: int, cap: int | None = None) -> GapOracle:
+def make_corrupt_oracle(rho: float, seed: int) -> GapOracle:
     if not 0 <= rho <= 1:
         raise ValueError("rho must be a probability")
-    return GapOracle(kind="corrupt", rho=rho,
-                     _fn=lambda f: gap_bruteforce(f, cap=cap),
+    return GapOracle(kind="corrupt", rho=rho, _fn=gap_bruteforce,
                      _rng=np.random.default_rng(seed))
 
 
@@ -232,24 +232,24 @@ def sb_acceptance_exact(gap: int, n: int, L: int | None = None) -> float:
 
 
 def yes_threshold_gap(n: int) -> int:
-    """Smallest even gap value in the YES region: gap^2 >= 2^{n-1}."""
+    """Smallest nonnegative even gap that classify_from_gap calls YES
+    (gap^2 >= 2^{n-1}), searched upward from an even lower bound."""
     if n < 1:
         raise ValueError("n must be positive")
     g = math.isqrt(1 << (n - 1))
-    while 4 * g * g < 1 << (n + 1):
-        g += 1
-    if g % 2:
-        g += 1
+    g += g % 2
+    while classify_from_gap(g, n) != "YES":
+        g += 2
     return g
 
 
 def no_threshold_gap(n: int) -> int:
-    """Largest even gap value in the NO region: gap^2 <= 2^{n-2}."""
+    """Largest even gap that classify_from_gap calls NO (gap^2 <=
+    2^{n-2}), searched downward from an even upper bound."""
     if n < 2:
         raise ValueError("n must be at least 2")
     g = math.isqrt(1 << (n - 2))
-    while 4 * g * g > 1 << n:
-        g -= 1
-    if g % 2:
-        g -= 1
+    g -= g % 2
+    while classify_from_gap(g, n) != "NO":
+        g -= 2
     return g

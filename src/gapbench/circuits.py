@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .poly3 import Poly3, gap_bruteforce, linear_part, strip_linear
+from . import config
+from .poly3 import CapExceeded, Poly3, gap_bruteforce, linear_part, strip_linear
 from .statevector import Circuit, Gate, full_distribution, run
 
 GAMMA = math.pi / 2
@@ -49,29 +51,33 @@ def build_iqp(f: Poly3) -> Circuit:
     return Circuit(q=f.n, gates=gates)
 
 
-def iqp_gap_amplitude(f: Poly3, cap: int | None = None) -> complex:
+def iqp_gap_amplitude(f: Poly3) -> complex:
     """<0...0| C_f |0...0>, which equals gap(f)/2^n."""
-    state = run(build_iqp(f), cap=cap)
+    state = run(build_iqp(f))
     return complex(state[0])
 
 
-def iqp_shifted_amplitude(f: Poly3, cap: int | None = None) -> complex:
+def iqp_shifted_amplitude(f: Poly3) -> complex:
     """Amplitude of C_fbar at the linear-part index of f.
 
     fbar is f with linear terms removed; the returned amplitude equals
     gap(f)/2^n even though the circuit never sees the linear part.
     """
-    state = run(build_iqp(strip_linear(f)), cap=cap)
+    state = run(build_iqp(strip_linear(f)))
     return complex(state[linear_part(f)])
 
 
-def class_distribution(fbar: Poly3, cap: int | None = None) -> np.ndarray:
+def class_distribution(fbar: Poly3) -> np.ndarray:
     """Output distribution of C_fbar over all 2^n basis states.
 
     Entry delta is (gap(fbar + delta.x)/2^n)^2, so one run covers the
-    whole linear-shift class of fbar.
+    whole linear-shift class of fbar.  The distribution cap is checked
+    before the state is simulated.
     """
-    return full_distribution(run(build_iqp(fbar), cap=cap))
+    limit = config.dist_cap()
+    if fbar.n > limit:
+        raise CapExceeded(f"class_distribution: n = {fbar.n} exceeds cap {limit}")
+    return full_distribution(run(build_iqp(fbar)))
 
 
 # -- constraint form ----------------------------------------------------------
@@ -147,9 +153,9 @@ def qaoa_to_circuit(spec: QaoaSpec) -> Circuit:
     return Circuit(q=spec.q, gates=gates)
 
 
-def qaoa_acceptance(f: Poly3, cap: int | None = None) -> float:
+def qaoa_acceptance(f: Poly3) -> float:
     """All-zeros probability of the constraint-form circuit on 2n qubits."""
-    state = run(qaoa_to_circuit(build_qaoa(f)), cap=cap)
+    state = run(qaoa_to_circuit(build_qaoa(f)))
     return float(abs(state[0]) ** 2)
 
 
@@ -160,10 +166,10 @@ def qaoa_acceptance(f: Poly3, cap: int | None = None) -> float:
 class SgapThresholds:
     """Exact promise and decision thresholds on (gap/2^n)^2 for given n.
 
-    YES instances sit at or above `upper`, NO instances at or below
-    `lower`; the query algorithm accepts above `accept` and rejects
-    below `reject`.  All four are exact rationals and satisfy
-    lower < reject < accept < upper.
+    The one statement of the squared-gap promise: YES instances sit at
+    or above `upper`, NO instances at or below `lower`; the query
+    algorithm accepts above `accept` and rejects below `reject`.  All
+    four are exact rationals and satisfy lower < reject < accept < upper.
     """
 
     n: int
@@ -173,6 +179,7 @@ class SgapThresholds:
     reject: Fraction
 
     @classmethod
+    @lru_cache(maxsize=64)
     def for_n(cls, n: int) -> "SgapThresholds":
         if n < 1:
             raise ValueError("n must be positive")
@@ -187,23 +194,21 @@ class SgapThresholds:
 
 
 def classify_from_gap(gap: int, n: int) -> str:
-    """YES / NO / NONPROMISE from the exact integer gap.
-
-    Uses only integer comparisons: YES iff 4*gap^2 >= 2^(n+1), NO iff
-    4*gap^2 <= 2^n.
-    """
+    """YES / NO / NONPROMISE from the exact integer gap, comparing the
+    exact rational (gap/2^n)^2 with the thresholds for n."""
     if not -(1 << n) <= gap <= (1 << n):
         raise ValueError(f"gap {gap} out of range for n = {n}")
-    s = 4 * gap * gap
-    if s >= 1 << (n + 1):
+    thr = SgapThresholds.for_n(n)
+    sq = Fraction(gap * gap, 1 << (2 * n))
+    if sq >= thr.upper:
         return "YES"
-    if s <= 1 << n:
+    if sq <= thr.lower:
         return "NO"
     return "NONPROMISE"
 
 
-def sgap_classify(f: Poly3, cap: int | None = None) -> str:
-    return classify_from_gap(gap_bruteforce(f, cap=cap), f.n)
+def sgap_classify(f: Poly3) -> str:
+    return classify_from_gap(gap_bruteforce(f), f.n)
 
 
 # -- query algorithm over the hiding circuit ----------------------------------
@@ -236,17 +241,50 @@ def algorithm_a(f: Poly3, prob_fn) -> QueryDecision:
 class ExactProvider:
     """Probability provider backed by the simulator, cached per fbar."""
 
-    def __init__(self, cap: int | None = None):
-        self.cap = cap
+    def __init__(self):
         self._cache: dict[Poly3, np.ndarray] = {}
 
     def distribution(self, fbar: Poly3) -> np.ndarray:
         if fbar not in self._cache:
-            self._cache[fbar] = class_distribution(fbar, cap=self.cap)
+            self._cache[fbar] = class_distribution(fbar)
         return self._cache[fbar]
 
     def __call__(self, fbar: Poly3, delta: int) -> float:
         return float(self.distribution(fbar)[delta])
+
+
+def greedy_adversary(exact: dict[int, float], labels: dict[int, str], n: int,
+                     eps: float) -> tuple[dict[int, float], float, int]:
+    """Strongest perturbation of a class distribution within a total budget.
+
+    `exact` maps each linear shift delta to its exact probability and
+    `labels` maps it to its promise label.  The adversary flips the
+    cheapest promise members first, a YES member to a hair below
+    `accept` and a NO member to a hair above `reject`; leaving the right
+    side costs at least 2^{-n-1}/6 each.  Returns the perturbed view, the
+    budget spent and the number of members flipped.
+    """
+    thr = SgapThresholds.for_n(n)
+    accept, reject = float(thr.accept), float(thr.reject)
+    # crossing a threshold must be strict, so flips land a hair past it
+    kick = 2.0 ** (-n - 1) * 1e-9
+    options = []
+    for d, label in labels.items():
+        if label == "YES":
+            options.append((exact[d] - accept, d, accept - kick))
+        elif label == "NO":
+            options.append((reject - exact[d], d, reject + kick))
+    options.sort()
+    view = dict(exact)
+    spent = 0.0
+    flipped = 0
+    for cost, d, target in options:
+        if spent + cost + kick > eps:
+            break
+        view[d] = target
+        spent += cost + kick
+        flipped += 1
+    return view, spent, flipped
 
 
 # -- distribution distance -----------------------------------------------------

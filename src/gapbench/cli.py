@@ -1,11 +1,14 @@
 """Command-line front end with structured, diffable output.
 
-Every public operation in the package is reachable from exactly one
-subcommand (audited by a registry test).  Output comes in two formats:
-`human` (readable lines) and `structured` (line-delimited JSON records
-carrying a schema version).  Structured output is byte-identical across
-runs with the same configuration; wall-clock timings are therefore
-opt-in via --timings and never enter the reproduction report.
+Each subcommand is a thin adapter: it loads its inputs, calls the
+library, and formats the result.  Resource caps are not handled here;
+every exponential routine resolves its own cap from the environment, so
+a cap overrun or a malformed override surfaces as a domain error.
+Output comes in two formats: `human` (readable lines) and `structured`
+(line-delimited JSON records carrying a schema version).  Structured
+output is byte-identical across runs with the same inputs; wall-clock
+timings are therefore opt-in via --timings and never enter the
+reproduction report.
 
 Exit codes: 0 success, 1 domain error (bad input values, cap overruns,
 unreadable files), 2 usage error (bad grammar, missing required flags).
@@ -19,13 +22,12 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import avgcase, circuits, config, cyclecover, estimator, fastcount
+from . import avgcase, circuits, cyclecover, estimator, fastcount
 from . import gapdist, permanents, poly3, statevector
 
 SCHEMA_VERSION = 1
@@ -35,48 +37,6 @@ SECONDS_PER_YEAR = estimator.SECONDS_PER_YEAR
 
 class UsageError(Exception):
     """Grammar-level problem that argparse cannot see (exit code 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output bytes.
-
-    Caps are snapshots of the effective limits from the environment;
-    the config module clamps overrides to hard ceilings, so the caps
-    recorded here never exceed the safety limits.
-    """
-
-    subcommand: str
-    inputs: tuple[str, ...]
-    seed: int | None
-    threads: int
-    fmt: str
-    timings: bool
-    caps: dict
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        inputs = tuple(
-            str(getattr(args, name))
-            for name in ("poly", "matrix", "circuit", "unitary")
-            if getattr(args, name, None) is not None
-        )
-        return RunConfig(
-            subcommand=args.subcommand,
-            inputs=inputs,
-            seed=getattr(args, "seed", None),
-            threads=config.thread_count(),
-            fmt=args.format,
-            timings=args.timings,
-            caps={
-                "brute": config.brute_cap(),
-                "eval": config.eval_cap(),
-                "sim": config.sim_cap(),
-                "dist": config.dist_cap(),
-                "naive": config.naive_cap(),
-                "ryser": config.ryser_cap(),
-            },
-        )
 
 
 # ------------------------------------------------------------------ output
@@ -195,7 +155,7 @@ def _require_seed(args: argparse.Namespace, why: str) -> int:
 # --------------------------------------------------------------- handlers
 
 
-def _cmd_gap(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_gap(args, out: Output) -> int:
     f = _load_poly(args.poly)
     for spec in args.restrict or []:
         var, _, bit = spec.partition("=")
@@ -204,7 +164,7 @@ def _cmd_gap(cfg: RunConfig, args, out: Output) -> int:
         except ValueError:
             raise UsageError(f"--restrict wants x<i>=<0|1>, got {spec!r}")
         f = poly3.restrict(f, j - 1, b)
-    gap = poly3.gap_bruteforce(f, cap=config.brute_cap())
+    gap = poly3.gap_bruteforce(f)
     zeros = ((1 << f.n) + gap) // 2
     record = {
         "gap": gap,
@@ -229,13 +189,10 @@ def _cmd_gap(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_count(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_count(args, out: Output) -> int:
     f = _load_poly(args.poly)
     if args.method == "brute":
-        if f.n > config.eval_cap():
-            raise poly3.CapExceeded(
-                f"{f.n} variables exceeds the evaluation cap {config.eval_cap()}")
-        ones = int(poly3.truth_table(f).sum())
+        ones = ((1 << f.n) - poly3.gap_bruteforce(f)) // 2
     else:
         if args.free_vars is None:
             raise UsageError("--free-vars is required for --method lptwy")
@@ -257,16 +214,16 @@ def _cmd_count(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_simulate(args, out: Output) -> int:
     circ = statevector.circuit_loads(Path(args.circuit).read_text())
-    state = statevector.run(circ, cap=config.sim_cap())
+    state = statevector.run(circ)
     if args.amplitude is not None:
         amp = statevector.amplitude(state, args.amplitude)
         out.emit({"amplitude": amp, "index": args.amplitude,
                   "norm": statevector.norm(state), "qubits": circ.q},
                  f"amp[{args.amplitude}] = {amp.real:+.6f}{amp.imag:+.6f}j")
     elif args.distribution:
-        probs = statevector.full_distribution(state, cap=config.dist_cap())
+        probs = statevector.full_distribution(state)
         out.emit({"distribution": probs, "qubits": circ.q},
                  " ".join(f"{p:.6f}" for p in probs))
     else:
@@ -278,7 +235,7 @@ def _cmd_simulate(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_iqp(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_iqp(args, out: Output) -> int:
     f = _load_poly(args.poly)
     circ = circuits.build_iqp(f)
     record = {"n": f.n, "gates": len(circ.gates)}
@@ -290,13 +247,12 @@ def _cmd_iqp(cfg: RunConfig, args, out: Output) -> int:
     if not args.distribution and not args.emit_circuit:
         args.amplitude = True
     if args.distribution:
-        probs = circuits.class_distribution(poly3.strip_linear(f),
-                                            cap=config.dist_cap())
+        probs = circuits.class_distribution(poly3.strip_linear(f))
         record["distribution"] = probs
         human = " ".join(f"{p:.6f}" for p in probs)
     elif args.amplitude:
         fn = circuits.iqp_shifted_amplitude if args.shifted else circuits.iqp_gap_amplitude
-        amp = fn(f, cap=config.sim_cap())
+        amp = fn(f)
         scaled = amp.real * (1 << f.n)
         record.update({"amplitude": amp, "scaled": scaled,
                        "shifted": bool(args.shifted)})
@@ -305,7 +261,7 @@ def _cmd_iqp(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_qaoa(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_qaoa(args, out: Output) -> int:
     f = _load_poly(args.poly)
     spec = circuits.build_qaoa(f)
     record = {"n": f.n, "qubits": spec.q, "constraints": spec.constraint_count,
@@ -316,8 +272,8 @@ def _cmd_qaoa(cfg: RunConfig, args, out: Output) -> int:
         Path(args.emit_circuit).write_text(statevector.circuit_dumps(circ))
         record["emitted"] = args.emit_circuit
     if args.acceptance:
-        acc = circuits.qaoa_acceptance(f, cap=config.sim_cap())
-        gap = poly3.gap_bruteforce(f, cap=config.brute_cap())
+        acc = circuits.qaoa_acceptance(f)
+        gap = poly3.gap_bruteforce(f)
         record.update({"acceptance": acc, "gap": gap})
         if gap:
             record["acceptance_over_gap_sq"] = acc / gap**2
@@ -326,57 +282,34 @@ def _cmd_qaoa(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_sgap_classify(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_sgap_classify(args, out: Output) -> int:
     f = _load_poly(args.poly)
-    label = circuits.sgap_classify(f, cap=config.brute_cap())
-    gap = poly3.gap_bruteforce(f, cap=config.brute_cap())
-    check = circuits.classify_from_gap(gap, f.n)
-    record = {"label": label, "gap": gap, "n": f.n, "gap_route_label": check}
+    gap = poly3.gap_bruteforce(f)
+    label = circuits.classify_from_gap(gap, f.n)
+    record = {"label": label, "gap": gap, "n": f.n, "gap_route_label": label}
     out.emit(record, f"{label} (gap = {gap})")
     return 0
 
 
-def _cmd_harness_a(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_harness_a(args, out: Output) -> int:
     f = _load_poly(args.poly)
     eps = args.epsilon
     if eps < 0:
         raise UsageError("--epsilon must be nonnegative")
-    provider = circuits.ExactProvider(cap=config.brute_cap())
+    provider = circuits.ExactProvider()
     thresholds = circuits.SgapThresholds.for_n(f.n)
-    acc_thr = float(thresholds.accept)
-    rej_thr = float(thresholds.reject)
     fbar = poly3.strip_linear(f)
-    # crossing a threshold must be strict, so flips land a hair past it
-    kick = 2.0 ** (-f.n - 1) * 1e-9
 
     def true_label(g: poly3.Poly3) -> str:
-        return circuits.classify_from_gap(
-            poly3.gap_bruteforce(g, cap=config.brute_cap()), g.n)
+        return circuits.classify_from_gap(poly3.gap_bruteforce(g), g.n)
 
     exhaustive = args.trials is None and f.n <= 12
-    spent = 0.0
-    flipped = 0
     if exhaustive:
         deltas = list(range(1 << f.n))
         exact = {d: provider(fbar, d) for d in deltas}
         labels = {d: true_label(poly3.with_linear(fbar, d)) for d in deltas}
-        # the adversary spreads a total budget eps over the class
-        # distribution; its strongest strategy flips the cheapest promise
-        # members first, and leaving the right side costs >= 2^{-n-1}/6 each
-        options = []
-        for d, label in labels.items():
-            if label == "YES":
-                options.append((exact[d] - acc_thr, d, acc_thr - kick))
-            elif label == "NO":
-                options.append((rej_thr - exact[d], d, rej_thr + kick))
-        options.sort()
-        view = dict(exact)
-        for cost, d, target in options:
-            if spent + cost + kick > eps:
-                break
-            view[d] = target
-            spent += cost + kick
-            flipped += 1
+        # the adversary spreads a total budget eps over the class distribution
+        view, spent, flipped = circuits.greedy_adversary(exact, labels, f.n, eps)
 
         def perturbed(fb: poly3.Poly3, delta: int) -> float:
             return view[delta]
@@ -450,12 +383,12 @@ def _cmd_harness_a(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_permanent(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_permanent(args, out: Output) -> int:
     a = _load_matrix(args.matrix)
     if args.method == "naive":
-        value = permanents.permanent_naive(a, cap=config.naive_cap())
+        value = permanents.permanent_naive(a)
     else:
-        value = permanents.permanent_ryser(a, cap=config.ryser_cap())
+        value = permanents.permanent_ryser(a)
     record = {"method": args.method, "dimension": int(a.shape[0]), "permanent": value}
     if isinstance(value, complex):
         human = f"per = {value.real:+.10f}{value.imag:+.10f}j"
@@ -465,9 +398,9 @@ def _cmd_permanent(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_boson_encode(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_boson_encode(args, out: Output) -> int:
     a = _load_matrix(args.matrix).astype(np.complex128)
-    enc = permanents.encode_permanent(a, c=args.scale, cap=config.naive_cap())
+    enc = permanents.encode_permanent(a, c=args.scale)
     dil = enc.dilation
     record = {
         "dimension": dil.n,
@@ -490,18 +423,18 @@ def _cmd_boson_encode(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_fock_amp(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_fock_amp(args, out: Output) -> int:
     u = _load_matrix(args.unitary).astype(np.complex128)
     occ_in = _parse_occupancy(args.occ_in)
     occ_out = _parse_occupancy(args.occ_out)
-    amp = permanents.fock_amplitude(u, occ_in, occ_out, cap=config.ryser_cap())
+    amp = permanents.fock_amplitude(u, occ_in, occ_out)
     record = {"amplitude": amp, "occ_in": occ_in, "occ_out": occ_out,
               "photons": sum(occ_in)}
     out.emit(record, f"amplitude = {amp.real:+.10f}{amp.imag:+.10f}j")
     return 0
 
 
-def _cmd_reduce(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_reduce(args, out: Output) -> int:
     f = _load_poly(args.poly)
     graph = cyclecover.build_graph(f)
     record = {"n": f.n, "nodes": graph.node_count, "terms": graph.term_count,
@@ -512,7 +445,7 @@ def _cmd_reduce(cfg: RunConfig, args, out: Output) -> int:
             json.dumps(cyclecover.matrix_to_json_dict(graph), sort_keys=True))
         record["emitted"] = args.emit_matrix
     if args.verify:
-        check = cyclecover.verify_reduction(f, cap=config.ryser_cap())
+        check = cyclecover.verify_reduction(f)
         record["verify"] = {"ok": check.ok, "perm": check.perm,
                             "expected": check.expected}
         human += f"; perm = {check.perm}, expected = {check.expected}, " \
@@ -521,7 +454,7 @@ def _cmd_reduce(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_stats(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_stats(args, out: Output) -> int:
     mode = args.mode
     if mode == "moments":
         if args.n is None or args.k is None:
@@ -598,11 +531,11 @@ def _cmd_stats(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_avg_reduce(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_avg_reduce(args, out: Output) -> int:
     f = _load_poly(args.poly)
     seed = _require_seed(args, "the reduction randomizes linear parts")
     if args.certificate:
-        cert = avgcase.find_certificate(f, cap=config.brute_cap())
+        cert = avgcase.find_certificate(f)
         record = {"n": f.n, "certificate_size": avgcase.certificate_size(f.n),
                   "found": cert is not None}
         if cert is not None:
@@ -614,16 +547,16 @@ def _cmd_avg_reduce(cfg: RunConfig, args, out: Output) -> int:
                          f"(size {record['certificate_size']})")
         return 0
     if args.oracle == "exact":
-        oracle = avgcase.exact_oracle(cap=config.brute_cap())
+        oracle = avgcase.exact_oracle()
     else:
         m = re.fullmatch(r"corrupt:(.+)", args.oracle)
         if not m:
             raise UsageError("--oracle must be 'exact' or 'corrupt:RATE'")
         rho = _parse_rate(m.group(1))
-        oracle = avgcase.make_corrupt_oracle(rho, seed + 1, cap=config.brute_cap())
+        oracle = avgcase.make_corrupt_oracle(rho, seed + 1)
     rng = np.random.default_rng(seed)
     claimed = avgcase.gap_from_quasi_avg_oracle(f, oracle, rng)
-    true_gap = poly3.gap_bruteforce(f, cap=config.brute_cap())
+    true_gap = poly3.gap_bruteforce(f)
     record = {"n": f.n, "claimed_gap": claimed, "true_gap": true_gap,
               "match": claimed == true_gap, "oracle": args.oracle,
               "oracle_calls": oracle.calls,
@@ -633,7 +566,7 @@ def _cmd_avg_reduce(cfg: RunConfig, args, out: Output) -> int:
     return 0
 
 
-def _cmd_sb_accept(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_sb_accept(args, out: Output) -> int:
     thresholds = avgcase.SbThresholds.for_n(args.n)
     log_accept = avgcase.sb_acceptance_exact(args.gap, args.n, L=args.repetitions)
     record = {
@@ -674,7 +607,7 @@ def _estimate_record(e: estimator.Estimate, flagged: bool = False) -> dict:
     return record
 
 
-def _cmd_estimate(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_estimate(args, out: Output) -> int:
     models = list(estimator.MODELS) if args.model == "all" else [args.model]
     horizon = args.horizon_years * SECONDS_PER_YEAR
     run = estimator.qubits_for_gate_linear if args.per_element \
@@ -744,8 +677,7 @@ def reproduce_all(out_dir: str, seed: int = 0, constant: float | None = None,
              f"{'PASS' if ok else 'FAIL'}  {name}")
         return bool(ok)
 
-    push({"record": "config", "seed": seed, "constant": constant,
-          "threads": config.thread_count()})
+    push({"record": "config", "seed": seed, "constant": constant})
     results = []
 
     # estimate table, six rows
@@ -882,7 +814,7 @@ def reproduce_all(out_dir: str, seed: int = 0, constant: float | None = None,
     return passed
 
 
-def _cmd_reproduce(cfg: RunConfig, args, out: Output) -> int:
+def _cmd_reproduce(args, out: Output) -> int:
     ok = reproduce_all(args.out, seed=args.seed, constant=args.constant,
                        emit=out.emit)
     return 0 if ok else 1
@@ -890,89 +822,6 @@ def _cmd_reproduce(cfg: RunConfig, args, out: Output) -> int:
 
 # ------------------------------------------------------------- registry
 
-
-# canonical home of every public operation; the registry test checks that
-# each one appears exactly once and that nothing public is missing
-SUBCOMMAND_OPERATIONS = {
-    "gap": [
-        "poly3.parse_poly", "poly3.loads", "poly3.dumps", "poly3.from_json_dict",
-        "poly3.to_json_dict", "poly3.to_text", "poly3.evaluate",
-        "poly3.gap_bruteforce", "poly3.zeros_count", "poly3.restrict",
-        "poly3.max_terms", "config.brute_cap", "transform.term_masks",
-        "transform.words_for", "transform.zeta_gf2", "transform.packed_truth_tables",
-    ],
-    "count": [
-        "poly3.truth_table", "fastcount.count_ones_lptwy", "fastcount.r_poly",
-        "fastcount.qhat", "fastcount.eval_all", "fastcount.from_values",
-        "fastcount.add", "fastcount.mul", "fastcount.constant",
-        "fastcount.monomial", "fastcount.block_counts",
-        "fastcount.monomial_bound_check", "config.eval_cap", "transform.zeta",
-        "transform.mobius",
-    ],
-    "simulate": [
-        "statevector.circuit_loads", "statevector.circuit_from_json_dict",
-        "statevector.run", "statevector.amplitude", "statevector.full_distribution",
-        "statevector.sample", "statevector.zero_state", "statevector.apply_gate",
-        "statevector.norm", "config.sim_cap", "config.dist_cap",
-    ],
-    "iqp": [
-        "circuits.build_iqp", "circuits.iqp_gap_amplitude",
-        "circuits.iqp_shifted_amplitude", "circuits.class_distribution",
-        "statevector.circuit_dumps", "statevector.circuit_to_json_dict",
-    ],
-    "qaoa": [
-        "circuits.build_qaoa", "circuits.qaoa_to_circuit", "circuits.qaoa_acceptance",
-    ],
-    "sgap-classify": [
-        "circuits.sgap_classify", "circuits.classify_from_gap",
-    ],
-    "harness-a": [
-        "circuits.algorithm_a", "circuits.distribution_error", "poly3.with_linear",
-    ],
-    "permanent": [
-        "permanents.permanent_naive", "permanents.permanent_ryser",
-        "config.naive_cap", "config.ryser_cap",
-    ],
-    "boson-encode": [
-        "permanents.encode_permanent", "permanents.dilate",
-        "permanents.default_scale", "permanents.spectral_norm",
-        "permanents.unitarity_defect", "permanents.herm_eig",
-        "permanents.herm_apply",
-    ],
-    "fock-amp": [
-        "permanents.fock_amplitude",
-    ],
-    "reduce": [
-        "cyclecover.build_graph", "cyclecover.matrix_to_json_dict",
-        "cyclecover.verify_reduction", "cyclecover.node_count",
-        "cyclecover.padded_terms",
-    ],
-    "stats": [
-        "gapdist.exact_moment", "gapdist.sampled_moment",
-        "gapdist.gaussian_moment_target", "gapdist.gap_histogram",
-        "gapdist.promise_stats", "gapdist.count_condition_subspaces",
-        "gapdist.count_matrix_solutions", "gapdist.mass_poly", "poly3.all_terms",
-    ],
-    "avg-reduce": [
-        "avgcase.gap_from_quasi_avg_oracle", "avgcase.exact_oracle",
-        "avgcase.make_corrupt_oracle", "avgcase.randomize_linear",
-        "avgcase.substitute_pivot", "avgcase.find_certificate",
-        "avgcase.certificate_verify", "avgcase.certificate_size",
-        "poly3.linear_part", "poly3.strip_linear", "poly3.restrict_with_constant",
-    ],
-    "sb-accept": [
-        "avgcase.sb_acceptance_exact", "avgcase.yes_threshold_gap",
-        "avgcase.no_threshold_gap",
-    ],
-    "estimate": [
-        "estimator.qubits_for_horizon", "estimator.qubits_for_gate_linear",
-        "estimator.gate_count", "estimator.log2_bound",
-        "estimator.conjecture_weakening", "estimator.display_rounded",
-    ],
-    "reproduce": [
-        "poly3.random_poly", "config.thread_count",
-    ],
-}
 
 _HANDLERS = {
     "gap": _cmd_gap,
@@ -1139,11 +988,10 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig.from_args(args)
-    out = Output(cfg.fmt)
+    out = Output(args.format)
     started = time.perf_counter()
     try:
-        code = _HANDLERS[args.subcommand](cfg, args, out)
+        code = _HANDLERS[args.subcommand](args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1151,7 +999,7 @@ def dispatch(argv=None) -> int:
             KeyError, OSError, np.linalg.LinAlgError) as exc:
         out.error(exc)
         return 1
-    if cfg.timings:
+    if args.timings:
         elapsed = time.perf_counter() - started
         out.emit({"record": "timing", "elapsed_s": elapsed},
                  f"elapsed: {elapsed:.3f} s")

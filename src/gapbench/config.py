@@ -15,7 +15,6 @@ _HARD = {
     "DIST_CAP": 28,    # full_distribution qubit count
     "NAIVE_CAP": 12,   # permanent_naive dimension
     "RYSER_CAP": 34,   # permanent_ryser dimension
-    "THREADS": 256,
 }
 
 _DEFAULT = {
@@ -25,7 +24,6 @@ _DEFAULT = {
     "DIST_CAP": 24,
     "NAIVE_CAP": 10,
     "RYSER_CAP": 30,
-    "THREADS": 1,
 }
 
 
@@ -65,11 +63,3 @@ def naive_cap() -> int:
 def ryser_cap() -> int:
     return _read("RYSER_CAP")
 
-
-def thread_count() -> int:
-    """Advisory thread count recorded in run configs.
-
-    The library itself is pure numpy; BLAS-level threading is the only
-    parallelism in play, so results are identical for any value here.
-    """
-    return _read("THREADS")

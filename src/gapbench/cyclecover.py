@@ -189,10 +189,10 @@ class ReductionCheck:
     node_count: int
 
 
-def verify_reduction(f: Poly3, cap: int | None = None) -> ReductionCheck:
+def verify_reduction(f: Poly3) -> ReductionCheck:
     """Compare Per(G_f) with 4^{3m} gap(f), both exact integers."""
     graph = build_graph(f)
-    perm = permanent_ryser(graph.matrix, cap=cap)
+    perm = permanent_ryser(graph.matrix)
     expected = 4 ** (3 * graph.term_count) * gap_bruteforce(f)
     return ReductionCheck(
         perm=int(perm),

@@ -107,17 +107,28 @@ def log2_bound(model: str, constant: float, q: int) -> float:
 
 def _minimal_q(model: str, constant: float, target: float, mode: str,
                per_gate: bool) -> Estimate:
+    """Smallest admissible size whose log2 bound, less log2 of its gate
+    count when per_gate, reaches target.
+
+    The bound rises by `constant` per variable (a qubit or photon, or a
+    qubit pair in the two-copy encoding) and the gate count only grows.
+    So at a failing size q, solving the bound with the gate term frozen
+    at q gives a size below which nothing passes; one step is given back
+    to absorb rounding.  Jumping there repeatedly from the smallest size
+    lands on the exact minimum in a few rounds.
+    """
     step = 2 if _family(model) == "qaoa" else 1
+
+    def gates_log2(q: int) -> float:
+        return math.log2(gate_count(model, q)) if per_gate else 0.0
+
     q = step
-    while True:
-        value = log2_bound(model, constant, q)
-        if per_gate:
-            value -= math.log2(gate_count(model, q))
-        if value >= target:
-            return Estimate(model=model, constant=constant, mode=mode, q=q,
-                            gates=gate_count(model, q), log2_bound=value,
-                            log2_target=target)
-        q += step
+    while (value := log2_bound(model, constant, q) - gates_log2(q)) < target:
+        floor_q = (math.ceil((target + 1 + gates_log2(q)) / constant) - 1) * step
+        q = max(q + step, floor_q)
+    return Estimate(model=model, constant=constant, mode=mode, q=q,
+                    gates=gate_count(model, q), log2_bound=value,
+                    log2_target=target)
 
 
 def qubits_for_horizon(params: EstimateParams) -> Estimate:

@@ -126,11 +126,11 @@ def add(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
     return MultilinearPoly(m=p.m, l=p.l, coeffs=(p.coeffs + q.coeffs) & np.uint64(p.mask))
 
 
-def mul(p: MultilinearPoly, q: MultilinearPoly, cap: int | None = None) -> MultilinearPoly:
+def mul(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
     """Multilinear product: pointwise in the value domain, then back."""
     if (p.m, p.l) != (q.m, q.l):
         raise ValueError("operands must share variable count and modulus")
-    table = eval_all(p, cap=cap) * eval_all(q, cap=cap)
+    table = eval_all(p) * eval_all(q)
     return from_values(p.m, p.l, table & np.uint64(p.mask))
 
 
@@ -217,17 +217,17 @@ def _exact_sum(values: np.ndarray, l: int) -> int:
     )
 
 
-def count_ones_lptwy(f: Poly3, t: int, l: int | None = None, cap: int | None = None) -> int:
+def count_ones_lptwy(f: Poly3, t: int, l: int | None = None) -> int:
     """Exact number of inputs with f(x) = 1, via per-block residues."""
     poly = r_poly(f, t, l=l)
-    blocks = eval_all(poly, cap=cap)
+    blocks = eval_all(poly)
     return _exact_sum(blocks, poly.l)
 
 
-def block_counts(f: Poly3, t: int, l: int | None = None, cap: int | None = None) -> np.ndarray:
+def block_counts(f: Poly3, t: int, l: int | None = None) -> np.ndarray:
     """Satisfying-assignment count of each fixed-variable block."""
     poly = r_poly(f, t, l=l)
-    return eval_all(poly, cap=cap)
+    return eval_all(poly)
 
 
 # -- the monomial-count budget ------------------------------------------------

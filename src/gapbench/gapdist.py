@@ -19,15 +19,9 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .circuits import (  # noqa: F401  (re-exported: promise thresholds live with the circuits)
-    SgapThresholds,
-    classify_from_gap,
-    sgap_classify,
-)
+from .circuits import classify_from_gap
 from .poly3 import CapExceeded, all_terms, max_terms
 from .transform import packed_truth_tables, term_masks, words_for
-
-SGAP_LABELS = ("YES", "NO", "NONPROMISE")
 
 _EXACT_N_CAP = 4
 _EXACT_K_CAP = 4
@@ -408,12 +402,11 @@ class PromiseReport:
 
 
 def _classify_counts(gaps: np.ndarray, n: int) -> tuple[int, int, int]:
-    """(yes, no, nonpromise) counts via the exact integer thresholds."""
-    g = gaps.astype(np.int64)
-    four_sq = 4 * g * g
-    yes = four_sq >= np.int64(1) << np.int64(n + 1)
-    no = four_sq <= np.int64(1) << np.int64(n)
-    return int(yes.sum()), int(no.sum()), int((~yes & ~no).sum())
+    """(yes, no, nonpromise) counts, classifying each distinct gap once."""
+    counts = {"YES": 0, "NO": 0, "NONPROMISE": 0}
+    for gap, k in zip(*np.unique(gaps, return_counts=True)):
+        counts[classify_from_gap(int(gap), n)] += int(k)
+    return counts["YES"], counts["NO"], counts["NONPROMISE"]
 
 
 def promise_stats(n: int, samples: int | None = None, seed: int | None = None) -> PromiseReport:

@@ -258,7 +258,7 @@ def unitarity_defect(u) -> float:
 # -- photonic amplitudes ------------------------------------------------------
 
 
-def fock_amplitude(u, occ_in, occ_out, cap: int | None = None, tol: float = 1e-8) -> complex:
+def fock_amplitude(u, occ_in, occ_out, tol: float = 1e-8) -> complex:
     """Transition amplitude between photon occupation patterns.
 
     <occ_in| phi(U) |occ_out> = Per(U_(R,R')) / sqrt(prod r_i! prod r'_j!),
@@ -285,7 +285,7 @@ def fock_amplitude(u, occ_in, occ_out, cap: int | None = None, tol: float = 1e-8
     rows = np.repeat(np.arange(m), r_in)
     colsd = np.repeat(np.arange(m), r_out)
     sub = mat[np.ix_(rows, colsd)]
-    per = permanent_ryser(sub, cap=cap)
+    per = permanent_ryser(sub)
     norm = math.sqrt(
         math.prod(math.factorial(v) for v in r_in)
         * math.prod(math.factorial(v) for v in r_out)
@@ -299,7 +299,7 @@ class PermanentEncoding:
     amplitude: complex  # equals scale^n * Per(A)
 
 
-def encode_permanent(a, c: float | None = None, cap: int | None = None) -> PermanentEncoding:
+def encode_permanent(a, c: float | None = None) -> PermanentEncoding:
     """Dilate A and read Per(A) off a single-photon-per-mode amplitude.
 
     With one photon in each of the first n modes in and out, the
@@ -307,5 +307,5 @@ def encode_permanent(a, c: float | None = None, cap: int | None = None) -> Perma
     """
     dil = dilate(a, c=c)
     occ = [1] * dil.n + [0] * dil.n
-    amp = fock_amplitude(dil.unitary, occ, occ, cap=cap)
+    amp = fock_amplitude(dil.unitary, occ, occ)
     return PermanentEncoding(dilation=dil, amplitude=amp)

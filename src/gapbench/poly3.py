@@ -176,9 +176,9 @@ def _gap_recursive(f: Poly3) -> int:
     return (-g0 if c0 else g0) + (-g1 if c1 else g1)
 
 
-def zeros_count(f: Poly3, cap: int | None = None) -> int:
+def zeros_count(f: Poly3) -> int:
     """Number of assignments with f(x) = 0, i.e. (2^n + gap)/2."""
-    return ((1 << f.n) + gap_bruteforce(f, cap=cap)) // 2
+    return ((1 << f.n) + gap_bruteforce(f)) // 2
 
 
 def linear_part(f: Poly3) -> int:

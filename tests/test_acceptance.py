@@ -278,14 +278,9 @@ def test_criterion_14_algorithm_a_robustness():
         checked += tested
 
     # adversary with a total perturbation budget eps spread over the class
-    # distribution; greedy flipping is its strongest strategy, and a wrong
-    # side costs at least 2^{-n-1}/6 per instance
+    # distribution; greedy flipping is its strongest strategy
     eps = 1 / 1000
     n = 8
-    top = 2.0 ** (-n - 1)
-    acc_thr = 5 * top / 6
-    rej_thr = 2 * top / 3
-    kick = top * 1e-9
     for core_seed in (1, 2, 3):
         fbar = p3.strip_linear(p3.random_poly(n, np.random.default_rng(core_seed)))
         exact = {}
@@ -294,22 +289,7 @@ def test_criterion_14_algorithm_a_robustness():
             g = p3.gap_bruteforce(p3.with_linear(fbar, delta))
             exact[delta] = g * g / 4.0 ** n
             labels[delta] = ci.classify_from_gap(g, n)
-        flips = []
-        for delta, label in labels.items():
-            if label == "YES":
-                flips.append((exact[delta] - acc_thr, delta, acc_thr - kick))
-            elif label == "NO":
-                flips.append((rej_thr - exact[delta], delta, rej_thr + kick))
-        flips.sort()
-        perturbed = dict(exact)
-        spent = 0.0
-        flipped = 0
-        for cost, delta, target in flips:
-            if spent + cost + kick > eps:
-                break
-            perturbed[delta] = target
-            spent += cost + kick
-            flipped += 1
+        perturbed, _, flipped = ci.greedy_adversary(exact, labels, n, eps)
         assert sum(abs(perturbed[d] - exact[d]) for d in exact) <= eps
         assert flipped >= 1
 

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gapbench.avgcase as av
+import gapbench.gapdist as gd
 from gapbench.circuits import (
     BETA,
     GAMMA,
@@ -216,6 +220,53 @@ class TestThresholds:
                     else "NO" if norm2 <= t.lower else "NONPROMISE"
                 )
                 assert classify_from_gap(gap, n) == want
+
+
+def integer_rule(gap: int, n: int) -> str:
+    """The squared-gap promise in integers: YES iff 4 gap^2 >= 2^(n+1),
+    NO iff 4 gap^2 <= 2^n."""
+    s = 4 * gap * gap
+    return "YES" if s >= 1 << (n + 1) else "NO" if s <= 1 << n else "NONPROMISE"
+
+
+@st.composite
+def sizes_and_even_gaps(draw):
+    n = draw(st.integers(1, 20))
+    return n, 2 * draw(st.integers(-(1 << (n - 1)), 1 << (n - 1)))
+
+
+class TestSingleHomeThresholdRule:
+    """Every consumer of the promise agrees with the literal integer rule."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sizes_and_even_gaps())
+    def test_classifier_and_threshold_gaps_follow_the_rule(self, case):
+        n, gap = case
+        want = integer_rule(gap, n)
+        assert classify_from_gap(gap, n) == want
+        size = abs(gap)
+        assert (size >= av.yes_threshold_gap(n)) == (want == "YES")
+        if n >= 2:
+            assert (size <= av.no_threshold_gap(n)) == (want == "NO")
+
+    def test_threshold_gaps_are_the_extreme_even_members(self):
+        for n in range(1, 21):
+            yes = av.yes_threshold_gap(n)
+            assert yes >= 0 and yes % 2 == 0 and integer_rule(yes, n) == "YES"
+            assert yes == 0 or integer_rule(yes - 2, n) != "YES"
+            if n >= 2:
+                no = av.no_threshold_gap(n)
+                assert no >= 0 and no % 2 == 0 and integer_rule(no, n) == "NO"
+                assert integer_rule(no + 2, n) != "NO"
+
+    def test_exhaustive_promise_counts_follow_the_rule(self):
+        for n in range(1, 5):
+            labels = [integer_rule(int(g), n) for g in gd._exhaustive_gaps(n)]
+            rep = gd.promise_stats(n)
+            total = len(labels)
+            assert rep.yes_fraction == Fraction(labels.count("YES"), total)
+            assert rep.no_fraction == Fraction(labels.count("NO"), total)
+            assert rep.nonpromise_fraction == Fraction(labels.count("NONPROMISE"), total)
 
 
 class TestQueryAlgorithm:

@@ -1,26 +1,16 @@
 """End-to-end tests for the command-line front end."""
 
-import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-import gapbench
+import gapbench.circuits as circuits
+import gapbench.config as config
 import gapbench.poly3 as poly3
 import gapbench.permanents as pm
-from gapbench.cli import (
-    SUBCOMMAND_OPERATIONS,
-    RunConfig,
-    build_parser,
-    dispatch,
-    main,
-    reproduce_all,
-)
-
-MODULES = ("avgcase", "circuits", "config", "cyclecover", "estimator",
-           "fastcount", "gapdist", "permanents", "poly3", "statevector", "transform")
+from gapbench.cli import _HANDLERS, build_parser, dispatch, main, reproduce_all
 
 
 def run(capsys, *argv):
@@ -51,36 +41,11 @@ def cubic_poly(tmp_path):
 # ---------------------------------------------------------------- registry
 
 
-def _public_operations():
-    ops = set()
-    for name in MODULES:
-        mod = importlib.import_module(f"gapbench.{name}")
-        for attr, obj in vars(mod).items():
-            if attr.startswith("_") or isinstance(obj, type) or not callable(obj):
-                continue
-            if getattr(obj, "__module__", None) != f"gapbench.{name}":
-                continue
-            ops.add(f"{name}.{attr}")
-    return ops
-
-
-def test_registry_covers_every_public_operation_once():
-    declared = [op for ops in SUBCOMMAND_OPERATIONS.values() for op in ops]
-    assert len(declared) == len(set(declared)), "an operation has two homes"
-    assert set(declared) == _public_operations()
-
-
-def test_registry_operations_resolve():
-    for ops in SUBCOMMAND_OPERATIONS.values():
-        for op in ops:
-            mod_name, fn_name = op.split(".")
-            assert callable(getattr(getattr(gapbench, mod_name), fn_name))
-
-
 def test_registry_matches_parser_subcommands():
+    # a subcommand without a handler would surface as a KeyError domain error
     parser = build_parser()
     actions = [a for a in parser._subparsers._group_actions][0]
-    assert set(actions.choices) == set(SUBCOMMAND_OPERATIONS)
+    assert set(actions.choices) == set(_HANDLERS)
 
 
 # ------------------------------------------------------------------- gap
@@ -124,7 +89,7 @@ def test_gap_emit_json_round_trip(capsys, paper_poly, tmp_path):
         open(paper_poly).read())
 
 
-def test_gap_runs_brute_force_once(capsys, monkeypatch, paper_poly):
+def count_brute_force_calls(monkeypatch):
     calls = []
     real = poly3.gap_bruteforce
 
@@ -132,7 +97,20 @@ def test_gap_runs_brute_force_once(capsys, monkeypatch, paper_poly):
         calls.append(f)
         return real(f, *args, **kwargs)
 
+    # circuits holds its own binding, through which sgap_classify counts
     monkeypatch.setattr(poly3, "gap_bruteforce", counted)
+    monkeypatch.setattr(circuits, "gap_bruteforce", counted)
+    return calls
+
+
+def write_poly(tmp_path, f, name="p.json"):
+    path = tmp_path / name
+    path.write_text(poly3.dumps(f))
+    return str(path)
+
+
+def test_gap_runs_brute_force_once(capsys, monkeypatch, paper_poly):
+    calls = count_brute_force_calls(monkeypatch)
     code, out, _ = run(capsys, "gap", "--poly", paper_poly, "--format", "structured")
     assert code == 0
     assert len(calls) == 1
@@ -154,6 +132,22 @@ def test_count_methods_agree(capsys, tmp_path):
                       "--free-vars", "2", "--format", "structured")
     rb, rl = records(out_b)[0], records(out_l)[0]
     assert rb["count"] == rl["count"] and rb["gap"] == rl["gap"]
+
+
+def test_count_brute_uses_the_packed_gap(capsys, monkeypatch, tmp_path):
+    path = write_poly(tmp_path, poly3.random_poly(10, np.random.default_rng(23)))
+    _, out_l, _ = run(capsys, "count", "--poly", path, "--method", "lptwy",
+                      "--free-vars", "3", "--format", "structured")
+
+    def unpacked(f):
+        raise AssertionError("count --method brute built a byte-per-point table")
+
+    monkeypatch.setattr(poly3, "truth_table", unpacked)
+    code, out_b, _ = run(capsys, "count", "--poly", path, "--method", "brute",
+                         "--format", "structured")
+    assert code == 0
+    rb, rl = records(out_b)[0], records(out_l)[0]
+    assert (rb["count"], rb["zeros"], rb["gap"]) == (rl["count"], rl["zeros"], rl["gap"])
 
 
 def test_count_lptwy_needs_free_vars(capsys, paper_poly):
@@ -248,6 +242,16 @@ def test_sgap_classify_label(capsys, cubic_poly):
     rec = records(out)[0]
     assert rec["label"] == "YES"
     assert rec["gap_route_label"] == rec["label"]
+
+
+def test_sgap_classify_runs_brute_force_once(capsys, monkeypatch, paper_poly):
+    calls = count_brute_force_calls(monkeypatch)
+    code, out, _ = run(capsys, "sgap-classify", "--poly", paper_poly,
+                       "--format", "structured")
+    assert code == 0
+    assert len(calls) == 1
+    assert records(out)[0] == {"gap": -2, "gap_route_label": "YES", "label": "YES",
+                               "n": 3, "schema": 1}
 
 
 def test_harness_exact_probabilities_all_correct(capsys, cubic_poly):
@@ -576,6 +580,46 @@ def test_cap_overrun_is_domain_error(capsys, tmp_path):
     assert records(out)[0]["error"]["type"] == "CapExceeded"
 
 
+def test_boson_encode_resolves_the_ryser_cap(capsys, tmp_path):
+    # 11 exceeds the naive-permanent cap (10) but not the Ryser cap (30)
+    mat = tmp_path / "eye.json"
+    mat.write_text(json.dumps(np.eye(11, dtype=int).tolist()))
+    code, out, _ = run(capsys, "boson-encode", "--matrix", str(mat),
+                       "--format", "structured")
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["dimension"] == 11
+    assert abs(rec["amplitude"][0] - rec["scale"] ** 11) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [("harness-a", "--epsilon", "0", "--seed", "1"),
+                                  ("iqp", "--distribution")])
+def test_class_distribution_obeys_the_simulator_cap(capsys, monkeypatch, tmp_path,
+                                                    argv):
+    monkeypatch.setenv("GAPBENCH_SIM_CAP", "8")
+    path = write_poly(tmp_path, poly3.random_poly(10, np.random.default_rng(4)))
+    code, out, _ = run(capsys, argv[0], "--poly", path, *argv[1:],
+                       "--format", "structured")
+    assert code == 1
+    error = records(out)[0]["error"]
+    assert error["type"] == "CapExceeded" and "cap 8" in error["message"]
+
+
+def test_class_distribution_refuses_before_simulating(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("GAPBENCH_DIST_CAP", "6")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated a state the distribution cap refuses")
+
+    monkeypatch.setattr(circuits, "run", no_run)
+    path = write_poly(tmp_path, poly3.random_poly(7, np.random.default_rng(5)))
+    code, out, _ = run(capsys, "iqp", "--poly", path, "--distribution",
+                       "--format", "structured")
+    assert code == 1
+    error = records(out)[0]["error"]
+    assert error["type"] == "CapExceeded" and "cap 6" in error["message"]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
@@ -593,17 +637,30 @@ def test_timings_flag_appends_record(capsys, paper_poly):
     assert recs[-1]["elapsed_s"] >= 0.0
 
 
-def test_runconfig_snapshot(paper_poly):
-    parser = build_parser()
-    args = parser.parse_args(["gap", "--poly", paper_poly])
-    cfg = RunConfig.from_args(args)
-    assert cfg.subcommand == "gap"
-    assert cfg.inputs == (paper_poly,)
-    assert cfg.seed is None
-    # caps never exceed the hard ceilings
-    hard = {"brute": 32, "eval": 30, "sim": 30, "dist": 28, "naive": 12,
-            "ryser": 34}
-    assert all(cfg.caps[k] <= hard[k] for k in hard)
+def test_cap_override_is_clamped_to_its_ceiling(monkeypatch):
+    monkeypatch.setenv("GAPBENCH_BRUTE_CAP", "99")
+    assert config.brute_cap() == 32
+    monkeypatch.setenv("GAPBENCH_BRUTE_CAP", "12")
+    assert config.brute_cap() == 12
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_malformed_cap_override_raises(monkeypatch, raw):
+    monkeypatch.setenv("GAPBENCH_BRUTE_CAP", raw)
+    with pytest.raises(ValueError, match="GAPBENCH_BRUTE_CAP"):
+        config.brute_cap()
+
+
+def test_malformed_cap_is_a_domain_error_only_where_read(capsys, monkeypatch,
+                                                         paper_poly):
+    monkeypatch.setenv("GAPBENCH_BRUTE_CAP", "abc")
+    code, out, _ = run(capsys, "gap", "--poly", paper_poly, "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"]["type"] == "ValueError"
+    code, out, _ = run(capsys, "estimate", "--model", "iqp-mult",
+                       "--format", "structured")
+    assert code == 0
+    assert records(out)[0]["q"] == 185
 
 
 def test_main_returns_exit_code(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the hardness-constant size estimator."""
 
 import math
+import time
 from decimal import Decimal, getcontext
 
 import pytest
@@ -212,6 +213,49 @@ def test_per_element_budget_direction():
         EstimateParams(model="iqp-mult", budget=50)).q
     base = qubits_for_gate_linear(EstimateParams(model="iqp-mult")).q
     assert lenient <= base <= strict
+
+
+def _linear_scan(model, constant, target, mode, per_gate):
+    """Reference: the first admissible size passing the target, one step at a time."""
+    step = 2 if model.startswith("qaoa") else 1
+    q = step
+    while True:
+        value = log2_bound(model, constant, q)
+        if per_gate:
+            value -= math.log2(gate_count(model, q))
+        if value >= target:
+            return Estimate(model=model, constant=constant, mode=mode, q=q,
+                            gates=gate_count(model, q), log2_bound=value,
+                            log2_target=target)
+        q += step
+
+
+@pytest.mark.parametrize("per_element", [False, True])
+def test_minimal_q_matches_the_linear_scan(per_element):
+    mode = "per-element" if per_element else "horizon"
+    # flops of 1e-30 and 1e-10 put the target below zero
+    for flops in (1e-30, 1e-10, 1.0, 1e12, 1e18):
+        for model in est.MODELS:
+            for constant in (0.01, 0.0731, 0.25, 0.5, 0.6667, 0.999, 1.0):
+                p = EstimateParams(model=model, constant=constant, flops=flops,
+                                   per_element=per_element)
+                got = (qubits_for_gate_linear if per_element else qubits_for_horizon)(p)
+                want = _linear_scan(model, constant, got.log2_target, mode, per_element)
+                assert got == want
+
+
+def test_minimal_q_for_a_tiny_constant_is_fast_and_minimal():
+    t0 = time.perf_counter()
+    found = [run(EstimateParams(model=m, constant=1e-6)) for m in est.MODELS
+             for run in (qubits_for_horizon, qubits_for_gate_linear)]
+    assert time.perf_counter() - t0 < 1.0
+    for e in found:
+        def value(q):
+            v = log2_bound(e.model, e.constant, q)
+            return v - math.log2(gate_count(e.model, q)) if e.mode == "per-element" else v
+
+        step = 2 if e.model.startswith("qaoa") else 1
+        assert value(e.q) == e.log2_bound >= e.log2_target > value(e.q - step)
 
 
 # ---------------------------------------------------------------- weakening

@@ -381,9 +381,3 @@ def test_promise_sampled_requires_seed():
     with pytest.raises(ValueError):
         gd.promise_stats(16, samples=100)
 
-
-def test_sgap_reexports():
-    assert gd.sgap_classify is circuits.sgap_classify
-    assert gd.classify_from_gap is circuits.classify_from_gap
-    assert gd.SgapThresholds is circuits.SgapThresholds
-    assert gd.SGAP_LABELS == ("YES", "NO", "NONPROMISE")
