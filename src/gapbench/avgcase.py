@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import classify_from_gap
-from .config import brute_cap
+from .config import dist_cap
 from .poly3 import (
     CapExceeded,
     Poly3,
@@ -163,9 +163,11 @@ def find_certificate(f: Poly3, cap: int | None = None) -> tuple[int, ...] | None
     """An accepting certificate for f, or None if f is balanced.
 
     The majority value has at least 2^{n-1}+1 preimages exactly when the
-    gap is nonzero; return the lexically first such set.
+    gap is nonzero; return the lexically first such set.  The answer and
+    the truth table behind it have 2^n entries, so the distribution cap
+    applies, checked before any table is built.
     """
-    limit = brute_cap() if cap is None else cap
+    limit = dist_cap() if cap is None else cap
     if f.n > limit:
         raise CapExceeded(f"find_certificate: n = {f.n} exceeds cap {limit}")
     tt = truth_table(f).reshape(-1)

@@ -157,14 +157,20 @@ def _require_seed(args: argparse.Namespace, why: str) -> int:
 
 def _cmd_gap(args, out: Output) -> int:
     f = _load_poly(args.poly)
+    const = 0  # pinning a bare x_i to 1 leaves the constant 1 beside f
     for spec in args.restrict or []:
         var, _, bit = spec.partition("=")
         try:
             j, b = int(var), int(bit)
         except ValueError:
             raise UsageError(f"--restrict wants x<i>=<0|1>, got {spec!r}")
-        f = poly3.restrict(f, j - 1, b)
+        f, c = poly3.restrict_with_constant(f, j - 1, b)
+        const ^= c
+    if const and args.emit_json:
+        raise ValueError("--emit-json: the JSON form has no constant term")
     gap = poly3.gap_bruteforce(f)
+    if const:
+        gap = -gap
     zeros = ((1 << f.n) + gap) // 2
     record = {
         "gap": gap,
@@ -173,11 +179,11 @@ def _cmd_gap(args, out: Output) -> int:
         "n": f.n,
         "terms": len(f.linear) + len(f.quadratic) + len(f.cubic),
         "term_budget": poly3.max_terms(f.n),
-        "text": poly3.to_text(f),
+        "text": poly3.to_text(f) + (" + 1" if const else ""),
     }
     if args.assign is not None:
         record["value_at"] = {"assignment": args.assign,
-                              "value": poly3.evaluate(f, args.assign)}
+                              "value": poly3.evaluate(f, args.assign) ^ const}
     if args.emit_json:
         Path(args.emit_json).write_text(poly3.dumps(f))
         record["emitted"] = args.emit_json
@@ -216,6 +222,11 @@ def _cmd_count(args, out: Output) -> int:
 
 def _cmd_simulate(args, out: Output) -> int:
     circ = statevector.circuit_loads(Path(args.circuit).read_text())
+    if args.samples is not None:
+        seed = _require_seed(args, "sampling draws random outcomes")
+    if args.amplitude is None:
+        # both other modes read the whole distribution: refuse before simulating
+        statevector.check_distribution_cap(circ.q, "full_distribution: q")
     state = statevector.run(circ)
     if args.amplitude is not None:
         amp = statevector.amplitude(state, args.amplitude)
@@ -227,9 +238,7 @@ def _cmd_simulate(args, out: Output) -> int:
         out.emit({"distribution": probs, "qubits": circ.q},
                  " ".join(f"{p:.6f}" for p in probs))
     else:
-        seed = _require_seed(args, "sampling draws random outcomes")
-        rng = np.random.default_rng(seed)
-        draws = statevector.sample(state, rng, size=args.samples)
+        draws = statevector.sample(state, np.random.default_rng(seed), size=args.samples)
         out.emit({"samples": draws, "qubits": circ.q, "seed": seed},
                  " ".join(str(int(d)) for d in draws))
     return 0
@@ -296,18 +305,19 @@ def _cmd_harness_a(args, out: Output) -> int:
     eps = args.epsilon
     if eps < 0:
         raise UsageError("--epsilon must be nonnegative")
-    provider = circuits.ExactProvider()
     thresholds = circuits.SgapThresholds.for_n(f.n)
     fbar = poly3.strip_linear(f)
 
-    def true_label(g: poly3.Poly3) -> str:
-        return circuits.classify_from_gap(poly3.gap_bruteforce(g), g.n)
+    def gap_at(delta: int) -> int:
+        return poly3.gap_bruteforce(poly3.with_linear(fbar, delta))
 
     exhaustive = args.trials is None and f.n <= 12
     if exhaustive:
         deltas = list(range(1 << f.n))
+        # one simulation serves every member's probability
+        provider = circuits.ExactProvider()
         exact = {d: provider(fbar, d) for d in deltas}
-        labels = {d: true_label(poly3.with_linear(fbar, d)) for d in deltas}
+        labels = {d: circuits.classify_from_gap(gap_at(d), f.n) for d in deltas}
         # the adversary spreads a total budget eps over the class distribution
         view, spent, flipped = circuits.greedy_adversary(exact, labels, f.n, eps)
 
@@ -320,15 +330,17 @@ def _cmd_harness_a(args, out: Output) -> int:
                                    "exhaustive size")
         rng = np.random.default_rng(seed)
         deltas = [int(d) for d in rng.integers(0, 1 << f.n, size=args.trials)]
-        labels = {d: true_label(poly3.with_linear(fbar, d)) for d in set(deltas)}
+        # every probability read, the input's own too, is (gap/2^n)^2
+        gaps = {d: gap_at(d) for d in {*deltas, poly3.linear_part(f)}}
+        labels = {d: circuits.classify_from_gap(g, f.n) for d, g in gaps.items()}
         # greedy flipping needs every class member's probability, which is
         # what a large n rules out; commit each member's fair share of the
         # budget toward the wrong side instead
         share = eps / float(1 << f.n)
 
         def perturbed(fb: poly3.Poly3, delta: int) -> float:
-            p = provider(fb, delta)
-            label = labels.get(delta) or true_label(poly3.with_linear(fb, delta))
+            p = gaps[delta] ** 2 / 4 ** f.n
+            label = labels[delta]
             if label == "YES":
                 return max(p - share, 0.0)
             if label == "NO":

@@ -12,7 +12,7 @@ _HARD = {
     "BRUTE_CAP": 32,   # gap_bruteforce variable count
     "EVAL_CAP": 30,    # eval_all / counting variable count
     "SIM_CAP": 30,     # statevector qubit count
-    "DIST_CAP": 28,    # full_distribution qubit count
+    "DIST_CAP": 28,    # 2^n-entry outputs: distributions, samplers, certificates
     "NAIVE_CAP": 12,   # permanent_naive dimension
     "RYSER_CAP": 34,   # permanent_ryser dimension
 }

@@ -18,19 +18,15 @@ from itertools import combinations
 
 import numpy as np
 
-from . import config
+from . import config, transform
 from .circuits import classify_from_gap
 from .poly3 import CapExceeded, all_terms, max_terms
-from .transform import packed_truth_tables, term_masks, words_for
 
 _EXACT_N_CAP = 4
 _EXACT_K_CAP = 4
 _MATRIX_BITS_CAP = 24
 _SUBSPACE_K_CAP = 4
 _SHARD = 4096
-# packed truth tables evaluated at once: bounds memory at every n up to the
-# cap, and a chunk that fits in a core's L2 cache keeps the transform fast
-_CHUNK_BYTES = 1 << 19
 
 
 def gaussian_moment_target(k: int) -> int:
@@ -70,12 +66,10 @@ class GapSampler:
 
     A polynomial is a uniform coefficient mask over the g1(n) admissible
     terms, which is its algebraic normal form: each selected term sets
-    the bit at its variable mask.  The sampler scatters a batch of masks
-    into bit-packed ANF rows, turns them into truth tables with one
-    batched GF(2) zeta transform, and reads each gap as 2^n minus twice
-    the row's popcount.  Rows go through in chunks of as many packed
-    tables as fit in _CHUNK_BYTES (at least one), so memory stays bounded
-    up to the sampling cap.
+    the bit at its variable mask.  A batch of masks goes to
+    transform.gaps, which builds the packed truth tables with one batched
+    GF(2) zeta transform per chunk of rows and reads each gap off its
+    popcount, in memory bounded up to the sampling cap.
     """
 
     def __init__(self, n: int):
@@ -84,25 +78,14 @@ class GapSampler:
             raise CapExceeded(f"sampling cap: need 1 <= n <= {cap}, got n={n}")
         self.n = n
         self.term_count = max_terms(n)
-        self._masks = term_masks(all_terms(n))
+        self._masks = transform.term_masks(all_terms(n))
 
     def gap_of_mask(self, mask: np.ndarray) -> int:
         """Exact gap of the polynomial selecting terms where mask is true."""
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.term_count,):
             raise ValueError(f"mask must have length {self.term_count}")
-        return int(self._gaps(mask[None, :])[0])
-
-    def _gaps(self, sel: np.ndarray) -> np.ndarray:
-        """Gap of the polynomial selected by each row of the bool array sel."""
-        out = np.empty(len(sel), dtype=np.int64)
-        step = max(1, _CHUNK_BYTES // (8 * words_for(self.n)))
-        for lo in range(0, len(sel), step):
-            part = sel[lo : lo + step]
-            tables = packed_truth_tables(part, self._masks, self.n)
-            ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
-            out[lo : lo + len(part)] = (1 << self.n) - 2 * ones
-        return out
+        return int(transform.gaps(mask[None, :], self._masks, self.n)[0])
 
     def gaps(self, samples: int, seed: int) -> np.ndarray:
         """samples iid gap draws, deterministic in seed.
@@ -120,7 +103,7 @@ class GapSampler:
             m = min(_SHARD, samples - pos)
             rng = np.random.default_rng(child)
             sel = rng.integers(0, 2, size=(m, self.term_count), dtype=np.uint8).astype(bool)
-            out[pos : pos + m] = self._gaps(sel)
+            out[pos : pos + m] = transform.gaps(sel, self._masks, self.n)
             pos += m
         return out
 
@@ -130,10 +113,9 @@ def _exhaustive_gaps(n: int) -> np.ndarray:
     selects term k of all_terms(n) for each bit k set in i."""
     if n > _EXACT_N_CAP:
         raise CapExceeded(f"exhaustive enumeration needs n <= {_EXACT_N_CAP}")
-    masks = term_masks(all_terms(n))
+    masks = transform.term_masks(all_terms(n))
     sel = (np.arange(1 << len(masks))[:, None] >> np.arange(len(masks))) & 1 == 1
-    ones = np.bitwise_count(packed_truth_tables(sel, masks, n)[:, 0]).astype(np.int64)
-    return (1 << n) - 2 * ones
+    return transform.gaps(sel, masks, n)
 
 
 def exact_moment(n: int, k: int) -> MomentReport:

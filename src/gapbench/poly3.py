@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import brute_cap
-from .transform import packed_truth_tables, term_masks
+from .transform import gaps, packed_truth_tables, term_masks
 
 
 class ParseError(ValueError):
@@ -140,40 +140,34 @@ def evaluate(f: Poly3, x) -> int:
     return acc
 
 
-def _packed_table(f: Poly3) -> np.ndarray:
-    """f on all 2^n points, 64 per uint64 word (f(x) is bit x % 64 of word x // 64)."""
-    masks = term_masks(f.terms())
-    return packed_truth_tables(np.ones((1, len(masks)), dtype=bool), masks, f.n)[0]
-
-
 def truth_table(f: Poly3) -> np.ndarray:
     """0/1 uint8 table of f on all 2^n assignments (index bit i = var i)."""
-    packed = _packed_table(f).astype("<u8", copy=False).view(np.uint8)
+    masks = term_masks(f.terms())
+    packed = packed_truth_tables(np.ones((1, len(masks)), dtype=bool), masks, f.n)[0]
+    packed = packed.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(packed, bitorder="little")[: 1 << f.n]
 
 
-def gap_bruteforce(f: Poly3, cap: int | None = None) -> int:
-    """Exact gap by exhaustive evaluation.  Refuses n beyond the cap."""
-    limit = brute_cap() if cap is None else cap
-    if f.n > limit:
-        raise CapExceeded(f"gap_bruteforce: n = {f.n} exceeds cap {limit}")
-    return _gap_recursive(f)
-
-
-# Above this size, split on the top variable to bound table memory: a
-# packed table of 2^24 bits and its transform temporary take 4 MiB.
+# Packed tables span at most 2^24 points (2 MiB, 4 MiB with the transform
+# temporary); gap_bruteforce folds any variables above into table rows.
 _TABLE_LIMIT = 24
 
 
-def _gap_recursive(f: Poly3) -> int:
-    if f.n <= _TABLE_LIMIT:
-        ones = int(np.bitwise_count(_packed_table(f)).sum())
-        return (1 << f.n) - 2 * ones
-    p0, c0 = restrict_with_constant(f, f.n - 1, 0)
-    p1, c1 = restrict_with_constant(f, f.n - 1, 1)
-    g0 = _gap_recursive(p0)
-    g1 = _gap_recursive(p1)
-    return (-g0 if c0 else g0) + (-g1 if c1 else g1)
+def gap_bruteforce(f: Poly3, cap: int | None = None) -> int:
+    """Exact gap by exhaustive evaluation.  Refuses n beyond the cap.
+
+    The variables above the lowest low = min(n, _TABLE_LIMIT) pick a row
+    of one table batch: in row a, a term survives when all its variables
+    above low are set in a, and keeps its part below (maybe the constant 1).
+    """
+    limit = brute_cap() if cap is None else cap
+    if f.n > limit:
+        raise CapExceeded(f"gap_bruteforce: n = {f.n} exceeds cap {limit}")
+    low = min(f.n, _TABLE_LIMIT)
+    masks = term_masks(f.terms())
+    blocks = np.arange(1 << (f.n - low))[:, None]
+    alive = ((masks >> low) & ~blocks) == 0
+    return int(gaps(alive, masks & ((1 << low) - 1), low).sum())
 
 
 def zeros_count(f: Poly3) -> int:
@@ -233,21 +227,6 @@ def restrict_with_constant(f: Poly3, j: int, b: int) -> tuple[Poly3, int]:
         else:
             new_terms.append(tuple(reindex(i) for i in term))
     return Poly3.from_terms(f.n - 1, new_terms), const
-
-
-def restrict(f: Poly3, j: int, b: int) -> Poly3:
-    """Substitute x_j = b; raises if a constant term would arise.
-
-    Use restrict_with_constant when the substitution can hit a bare
-    linear term x_j with b = 1.
-    """
-    poly, const = restrict_with_constant(f, j, b)
-    if const:
-        raise ValueError(
-            f"restricting x_{j} = 1 produces a constant term; "
-            "use restrict_with_constant"
-        )
-    return poly
 
 
 def random_poly(n: int, rng: np.random.Generator) -> Poly3:

@@ -137,12 +137,17 @@ def amplitude(state: np.ndarray, idx: int) -> complex:
     return complex(state[idx])
 
 
-def full_distribution(state: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """|amplitude|^2 for every basis state (float64, sums to 1)."""
-    q = state.shape[0].bit_length() - 1
+def check_distribution_cap(q: int, label: str, cap: int | None = None) -> None:
+    """Refuse a 2^q-entry distribution above the distribution cap; callers
+    that simulate only to read the whole distribution check it first."""
     limit = dist_cap() if cap is None else cap
     if q > limit:
-        raise CapExceeded(f"full_distribution: q = {q} exceeds cap {limit}")
+        raise CapExceeded(f"{label} = {q} exceeds cap {limit}")
+
+
+def full_distribution(state: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """|amplitude|^2 for every basis state (float64, sums to 1)."""
+    check_distribution_cap(state.shape[0].bit_length() - 1, "full_distribution: q", cap)
     return np.abs(state) ** 2
 
 

@@ -7,7 +7,9 @@ coefficients into its value table and back.  Over GF(2) they coincide
 and turn a Boolean function's algebraic normal form (ANF) into its
 truth table, here on bit-packed rows: entry x is bit x % 64 of uint64
 word x // 64.  Every truth table and LPTWY value table in the package
-is built with these transforms.
+is built with these transforms, and `gaps` is the one place that reads
+gaps off packed truth tables: brute force, the sampler and the
+exhaustive family all call it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from collections.abc import Iterable
 import numpy as np
 
 _ONES = (1 << 64) - 1
+# packed truth tables built at once by `gaps`: bounds memory at every n,
+# and a chunk that fits in a core's L2 cache keeps the transform fast
+_CHUNK_BYTES = 1 << 19
 
 
 def _butterflies(arr: np.ndarray, levels: range):
@@ -83,8 +88,8 @@ def packed_truth_tables(sel: np.ndarray, masks: np.ndarray, n: int) -> np.ndarra
 
     Row i of the (count, words_for(n)) result is the function whose ANF
     has the monomial with variable mask masks[j] wherever sel[i, j] is
-    true.  masks must be distinct; a row selecting nothing is the zero
-    function.
+    true.  A mask selected twice cancels mod 2, and mask 0 is the
+    constant monomial 1; a row selecting nothing is the zero function.
     """
     by_word = np.argsort(masks >> 6, kind="stable")
     word = masks[by_word] >> 6
@@ -93,9 +98,24 @@ def packed_truth_tables(sel: np.ndarray, masks: np.ndarray, n: int) -> np.ndarra
                     np.uint64(0))
     words = np.zeros((len(sel), words_for(n)), dtype=np.uint64)
     if len(starts):
-        # the masks that share a word set distinct bits of it
-        words[:, word[starts]] = np.bitwise_or.reduceat(bits, starts, axis=1)
+        words[:, word[starts]] = np.bitwise_xor.reduceat(bits, starts, axis=1)
     return zeta_gf2(words, n)
+
+
+def gaps(sel: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
+    """int64 gap, 2^n minus twice the number of ones, of each function
+    that packed_truth_tables(sel, masks, n) describes.
+
+    Rows go through in chunks of as many packed tables as fit in
+    _CHUNK_BYTES (at least one), so memory stays bounded at every n.
+    """
+    out = np.empty(len(sel), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * words_for(n)))
+    for lo in range(0, len(sel), step):
+        tables = packed_truth_tables(sel[lo : lo + step], masks, n)
+        ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
+        out[lo : lo + len(tables)] = (1 << n) - 2 * ones
+    return out
 
 
 def term_masks(terms: Iterable[tuple[int, ...]]) -> np.ndarray:

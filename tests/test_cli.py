@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import gapbench.avgcase as avgcase
 import gapbench.circuits as circuits
 import gapbench.config as config
 import gapbench.poly3 as poly3
 import gapbench.permanents as pm
+import gapbench.statevector as statevector
 from gapbench.cli import _HANDLERS, build_parser, dispatch, main, reproduce_all
 
 
@@ -107,6 +109,26 @@ def write_poly(tmp_path, f, name="p.json"):
     path = tmp_path / name
     path.write_text(poly3.dumps(f))
     return str(path)
+
+
+def test_gap_restrict_to_one_carries_the_constant(capsys, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("x1 + x2 + x1*x2")
+    # x1 = 1 leaves 1 + x2 + x2 = 1: the constant function, gap -2
+    code, out, _ = run(capsys, "gap", "--poly", str(path), "--restrict", "1=1",
+                       "--assign", "0", "--format", "structured")
+    assert code == 0
+    rec = records(out)[0]
+    assert (rec["gap"], rec["zeros"], rec["ones"], rec["n"]) == (-2, 0, 2, 1)
+    assert rec["text"] == "0 + 1"
+    assert rec["value_at"] == {"assignment": 0, "value": 1}
+    emitted = tmp_path / "out.json"
+    code, out, _ = run(capsys, "gap", "--poly", str(path), "--restrict", "1=1",
+                       "--emit-json", str(emitted), "--format", "structured")
+    assert code == 1
+    error = records(out)[0]["error"]
+    assert error["type"] == "ValueError" and "no constant term" in error["message"]
+    assert not emitted.exists()
 
 
 def test_gap_runs_brute_force_once(capsys, monkeypatch, paper_poly):
@@ -223,6 +245,24 @@ def test_simulate_samples_require_seed(capsys, cubic_poly, tmp_path):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("mode", [("--distribution",), ("--samples", "3", "--seed", "1")])
+def test_simulate_refuses_before_simulating(capsys, monkeypatch, tmp_path, mode):
+    monkeypatch.setenv("GAPBENCH_DIST_CAP", "6")
+    circ = tmp_path / "c10.json"
+    f = poly3.random_poly(10, np.random.default_rng(6))
+    circ.write_text(statevector.circuit_dumps(circuits.build_iqp(f)))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated a state the distribution cap refuses")
+
+    monkeypatch.setattr(statevector, "run", no_run)
+    code, out, _ = run(capsys, "simulate", "--circuit", str(circ), *mode,
+                       "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "CapExceeded", "message": "full_distribution: q = 10 exceeds cap 6"}
+
+
 # -------------------------------------------------- qaoa, sgap, harness
 
 
@@ -278,6 +318,23 @@ def test_harness_budget_adversary_stays_above_floor(capsys, tmp_path):
     assert rec["correct"] == rec["promise_members"] - rec["flipped"]
     assert rec["correct_fraction"] >= rec["robustness_floor"]
     assert rec["ok"] is True
+
+
+def test_harness_sampled_mode_reads_probabilities_from_gaps(capsys, monkeypatch,
+                                                           tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated a class distribution in sampled mode")
+
+    monkeypatch.setattr(circuits, "run", no_run)
+    f = poly3.random_poly(14, np.random.default_rng(8))
+    code, out, _ = run(capsys, "harness-a", "--poly", write_poly(tmp_path, f),
+                       "--epsilon", "0", "--seed", "4", "--trials", "12",
+                       "--format", "structured")
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["mode"] == "sampled"
+    assert rec["correct_fraction"] == 1.0
+    assert rec["input_decision"]["probability"] == poly3.gap_bruteforce(f) ** 2 / 4 ** 14
 
 
 # --------------------------------------------------- permanents and optics
@@ -454,6 +511,20 @@ def test_avg_reduce_certificate(capsys, cubic_poly):
     assert rec["found"] is True and rec["verified"] is True
     assert rec["certificate_size"] == 5
     assert len(rec["points"]) == 5
+
+
+def test_avg_reduce_certificate_obeys_the_distribution_cap(capsys, monkeypatch,
+                                                           tmp_path):
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a truth table the distribution cap refuses")
+
+    monkeypatch.setattr(avgcase, "truth_table", no_table)
+    path = write_poly(tmp_path, poly3.Poly3.from_terms(25, [(24,)]))
+    code, out, _ = run(capsys, "avg-reduce", "--poly", path, "--seed", "0",
+                       "--certificate", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "CapExceeded", "message": "find_certificate: n = 25 exceeds cap 24"}
 
 
 # --------------------------------------------------------------- sb-accept

@@ -2,9 +2,14 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gapbench.poly3 as poly3_module
 
 from gapbench.poly3 import (
     CapExceeded,
@@ -20,7 +25,6 @@ from gapbench.poly3 import (
     max_terms,
     parse_poly,
     random_poly,
-    restrict,
     restrict_with_constant,
     strip_linear,
     to_json_dict,
@@ -42,6 +46,18 @@ def oracle_gap(f):
                 prod &= bits[i]
             v ^= prod
         total += 1 - 2 * v
+    return total
+
+
+def restriction_gap(f):
+    # reference: split on the top variable by symbolic restriction until
+    # the polynomial fits one packed table
+    if f.n <= poly3_module._TABLE_LIMIT:
+        return gap_bruteforce(f)
+    total = 0
+    for b in (0, 1):
+        g, const = restrict_with_constant(f, f.n - 1, b)
+        total += -restriction_gap(g) if const else restriction_gap(g)
     return total
 
 
@@ -151,19 +167,30 @@ class TestGap:
                 assert g % 2 == 0
                 assert -(2 ** n) <= g <= 2 ** n
 
-    def test_recursive_split_path(self):
-        # force the > _TABLE_LIMIT code path with a tiny artificial limit
-        import gapbench.poly3 as mod
+    @given(st.integers(1, 10), st.sampled_from((1, 2, 3, 6, 24)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_folded_blocks_match_evaluate(self, n, limit, seed):
+        # a small table limit folds the variables above it into blocks
+        f = random_poly(n, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(poly3_module, "_TABLE_LIMIT", limit)
+            got = gap_bruteforce(f)
+        assert got == sum(1 - 2 * evaluate(f, x) for x in range(1 << n))
 
-        rng = np.random.default_rng(17)
-        f = random_poly(7, rng)
-        want = gap_bruteforce(f)
-        old = mod._TABLE_LIMIT
-        mod._TABLE_LIMIT = 3
-        try:
-            assert mod._gap_recursive(f) == want
-        finally:
-            mod._TABLE_LIMIT = old
+    def test_fold_matches_the_restriction_recursion_in_bounded_memory(self):
+        for n in (25, 26):
+            f = random_poly(n, np.random.default_rng(n))
+            tracemalloc.start()
+            try:
+                got = gap_bruteforce(f)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == restriction_gap(f)
+            # a 2^24-bit table and its transform temporary take 4 MiB; one
+            # whole 2^26-bit table would take 16
+            assert peak < 8 << 20
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
@@ -206,21 +233,19 @@ class TestLinearPart:
 class TestRestrict:
     def test_example_restrictions(self):
         f = parse_poly("x1*x2*x3", 3)
-        assert restrict(f, 2, 0) == Poly3(n=2)
-        assert restrict(f, 2, 1) == Poly3.from_terms(2, [(0, 1)])
+        assert restrict_with_constant(f, 2, 0) == (Poly3(n=2), 0)
+        assert restrict_with_constant(f, 2, 1) == (Poly3.from_terms(2, [(0, 1)]), 0)
 
     def test_example_f_restriction_cancels(self):
         # x3 = 1 turns x1*x2*x3 into x1*x2, cancelling the existing x1*x2
-        got = restrict(example_f(), 2, 1)
-        assert got == parse_poly("x1 + x2", 2)
+        got = restrict_with_constant(example_f(), 2, 1)
+        assert got == (parse_poly("x1 + x2", 2), 0)
 
     def test_constant_surfaces_separately(self):
         f = parse_poly("x1 + x1*x2", 2)
         poly, const = restrict_with_constant(f, 0, 1)
         assert const == 1
         assert poly == Poly3.from_terms(1, [(0,)])
-        with pytest.raises(ValueError):
-            restrict(f, 0, 1)
 
     def test_restriction_identity_random(self):
         rng = np.random.default_rng(29)

@@ -3,8 +3,9 @@
 Property tests draw polynomials with n in 1..10, so tables smaller than
 one packed word (n < 6) are covered, and cross-check the routes to the
 same number: the packed truth table against pointwise evaluation, brute
-force against LPTWY counting at every free-variable count, and the
-sampler's mask evaluation against brute force.
+force against LPTWY counting at every free-variable count, the
+sampler's mask evaluation, the IQP amplitudes, the cycle-cover permanent
+and the quasi-average-case oracle recursion against brute force.
 """
 
 import numpy as np
@@ -12,9 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapbench import fastcount
+from gapbench import avgcase, circuits, cyclecover, fastcount
 from gapbench.gapdist import GapSampler
-from gapbench.poly3 import Poly3, all_terms, evaluate, gap_bruteforce, truth_table
+from gapbench.poly3 import (
+    Poly3,
+    all_terms,
+    evaluate,
+    gap_bruteforce,
+    linear_part,
+    strip_linear,
+    truth_table,
+    with_linear,
+)
 from gapbench.transform import mobius, term_masks, words_for, zeta, zeta_gf2
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -95,3 +105,36 @@ def test_gap_of_mask_matches_bruteforce(f):
     present = set(f.terms())
     mask = np.array([t in present for t in all_terms(f.n)])
     assert GapSampler(f.n).gap_of_mask(mask) == gap_bruteforce(f)
+
+
+@given(polys())
+@PROPERTY
+def test_iqp_amplitude_is_gap_over_2n(f):
+    amp = circuits.iqp_gap_amplitude(f)
+    assert abs(amp * (1 << f.n) - gap_bruteforce(f)) < 1e-6
+
+
+@given(polys())
+@PROPERTY
+def test_shifted_amplitude_hides_the_linear_part(f):
+    g = with_linear(strip_linear(f), linear_part(f))
+    assert abs(circuits.iqp_shifted_amplitude(f) * (1 << f.n) - gap_bruteforce(g)) < 1e-6
+
+
+single_terms = st.integers(1, 3).flatmap(
+    lambda n: st.sampled_from(all_terms(n)).map(lambda t: Poly3.from_terms(n, [t])))
+
+
+@given(single_terms)
+@settings(PROPERTY, max_examples=8)
+def test_cycle_cover_permanent_is_scaled_gap(f):
+    # one term keeps G_f at 20 to 22 nodes; two terms need at least 40,
+    # past the Ryser cap's ceiling of 34
+    assert cyclecover.verify_reduction(f).perm == 4 ** 3 * gap_bruteforce(f)
+
+
+@given(polys(), st.integers(0, 2**32 - 1))
+@PROPERTY
+def test_quasi_average_recursion_is_exact_with_an_exact_oracle(f, seed):
+    rng = np.random.default_rng(seed)
+    assert avgcase.gap_from_quasi_avg_oracle(f, avgcase.exact_oracle(), rng) == gap_bruteforce(f)
