@@ -159,13 +159,14 @@ def certificate_verify(f_oracle: Callable[[int], int], n: int, assignments: Sequ
     return all(f_oracle(x) == first for x in points[1:])
 
 
-def find_certificate(f: Poly3, cap: int | None = None) -> tuple[int, ...] | None:
+def find_certificate(f: Poly3, cap: int | None = None) -> np.ndarray | None:
     """An accepting certificate for f, or None if f is balanced.
 
     The majority value has at least 2^{n-1}+1 preimages exactly when the
-    gap is nonzero; return the lexically first such set.  The answer and
-    the truth table behind it have 2^n entries, so the distribution cap
-    applies, checked before any table is built.
+    gap is nonzero; return the lexically first such set, as an int64
+    array of assignments.  The answer and the truth table behind it have
+    2^n entries, so the distribution cap applies, checked before any
+    table is built.
     """
     limit = dist_cap() if cap is None else cap
     if f.n > limit:
@@ -175,7 +176,7 @@ def find_certificate(f: Poly3, cap: int | None = None) -> tuple[int, ...] | None
     for value in (0, 1):
         idx = np.flatnonzero(tt == value)
         if idx.size >= need:
-            return tuple(int(i) for i in idx[:need])
+            return idx[:need]
     return None
 
 

@@ -164,33 +164,44 @@ def _cmd_gap(args, out: Output) -> int:
             j, b = int(var), int(bit)
         except ValueError:
             raise UsageError(f"--restrict wants x<i>=<0|1>, got {spec!r}")
-        f, c = poly3.restrict_with_constant(f, j - 1, b)
+        if f is None:
+            raise ValueError(f"variable index {j - 1} out of range [0, 0)")
+        if f.n == 1 and j == 1 and b in (0, 1):
+            # pinning the last variable leaves the constant f(b) on no variables
+            f, c = None, poly3.evaluate(f, b)
+        else:
+            f, c = poly3.restrict_with_constant(f, j - 1, b)
         const ^= c
     if const and args.emit_json:
         raise ValueError("--emit-json: the JSON form has no constant term")
-    gap = poly3.gap_bruteforce(f)
+    if args.emit_json and f is None:
+        raise ValueError("--emit-json: the JSON form needs at least one variable")
+    if f is None and args.assign not in (None, 0):
+        raise ValueError(f"assignment {args.assign} out of range for 0 variables")
+    n = f.n if f else 0
+    gap = poly3.gap_bruteforce(f) if f else 1
     if const:
         gap = -gap
-    zeros = ((1 << f.n) + gap) // 2
+    zeros = ((1 << n) + gap) // 2
     record = {
         "gap": gap,
         "zeros": zeros,
-        "ones": (1 << f.n) - zeros,
-        "n": f.n,
-        "terms": len(f.linear) + len(f.quadratic) + len(f.cubic),
-        "term_budget": poly3.max_terms(f.n),
-        "text": poly3.to_text(f) + (" + 1" if const else ""),
+        "ones": (1 << n) - zeros,
+        "n": n,
+        "terms": f.term_count if f else 0,
+        "term_budget": poly3.max_terms(n),
+        "text": (poly3.to_text(f) if f else "0") + (" + 1" if const else ""),
     }
     if args.assign is not None:
-        record["value_at"] = {"assignment": args.assign,
-                              "value": poly3.evaluate(f, args.assign) ^ const}
+        value = poly3.evaluate(f, args.assign) if f else 0
+        record["value_at"] = {"assignment": args.assign, "value": value ^ const}
     if args.emit_json:
         Path(args.emit_json).write_text(poly3.dumps(f))
         record["emitted"] = args.emit_json
     extra = ""
     if args.assign is not None:
         extra = f"; f({args.assign:#x}) = {record['value_at']['value']}"
-    out.emit(record, f"gap = {gap} (n={f.n}, zeros={record['zeros']}, "
+    out.emit(record, f"gap = {gap} (n={n}, zeros={record['zeros']}, "
                      f"ones={record['ones']}){extra}")
     return 0
 
@@ -551,11 +562,12 @@ def _cmd_avg_reduce(args, out: Output) -> int:
         record = {"n": f.n, "certificate_size": avgcase.certificate_size(f.n),
                   "found": cert is not None}
         if cert is not None:
+            points = cert.tolist()
             verified = avgcase.certificate_verify(
-                lambda x: poly3.evaluate(f, x), f.n, cert)
+                lambda x: poly3.evaluate(f, x), f.n, points)
             record["verified"] = verified
-            record["points"] = list(cert)
-        out.emit(record, f"certificate {'found' if cert else 'absent'} "
+            record["points"] = points
+        out.emit(record, f"certificate {'found' if cert is not None else 'absent'} "
                          f"(size {record['certificate_size']})")
         return 0
     if args.oracle == "exact":

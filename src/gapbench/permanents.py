@@ -1,11 +1,23 @@
 """Matrix permanents, contraction dilation, and photonic state amplitudes.
 
 The permanent is computed two ways: a permutation-sum reference
-(factorial cost, small sizes only) and inclusion-exclusion over column
-subsets with Gray-code structure (2^d cost).  Integer matrices are
-summed exactly; the fast vectorized path is used only when a product
-bound certifies that no intermediate can overflow int64, otherwise the
-computation escalates to arbitrary-precision Python integers.
+(factorial cost, small sizes only) and Ryser's inclusion-exclusion over
+all 2^d column subsets.  Ryser splits the columns into a low and a high
+half and tabulates each row's sum over every subset of each half; a
+subset's row sums are then one low entry plus one high entry.
+
+Integer matrices are summed exactly.  The int64 path runs only when a
+product bound certifies that no subset product can overflow, and it
+sums in slices short enough to stay exact; otherwise the computation
+escalates to a Gray-code walk in arbitrary-precision Python integers.
+The int64 path sorts rows by the halves they touch.  A row wholly in
+the low half gives a factor that does not depend on the high subset and
+is multiplied in once; a row wholly in the high half gives one scalar
+per high subset, and a high subset whose scalar is 0 contributes
+nothing and is skipped.  Only the remaining mixed rows are multiplied
+per high subset, a batch of high subsets at a time, each vector
+operation sweeping all low subsets of one row.  For a dense matrix
+every row is mixed.
 
 A square matrix A with ||A|| <= 1/c embeds in a unitary twice its size
 whose top-left block is cA; preparing one photon in each of the first n
@@ -68,8 +80,13 @@ def permanent_ryser(a, cap: int | None = None):
     """Permanent by inclusion-exclusion over column subsets.
 
     Exact integers for integer input (arbitrary precision if needed),
-    complex128 otherwise.  Cost 2^d; the vectorized path keeps d in the
-    low twenties practical.
+    complex128 otherwise.  Cost 2^d products of d row sums.  An integer
+    matrix whose product bound certifies int64 is summed in int64 with
+    its rows split by the column halves they touch: rows wholly in one
+    half are factored out, and the high subsets whose high-only rows sum
+    to 0 are skipped (see the module docstring).  In the sparse matrices
+    of the cycle-cover reduction about half the rows lie in one half and
+    more than half of the high subsets are skipped.
     """
     rows = _as_square(a)
     d = rows.shape[0] if isinstance(rows, np.ndarray) else len(rows)
@@ -99,6 +116,11 @@ def _parities(count_bits: int) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(idx).astype(np.int64) & 1)
 
 
+# Each product buffer of the integer path holds at most this many bytes,
+# so the two stay in cache: 8 high subsets per batch at a 2^12 low half.
+_BATCH_BYTES = 1 << 18
+
+
 def _ryser_int(rows: list[list[int]]) -> int:
     d = len(rows)
     # certify that every subset product fits comfortably in int64
@@ -111,24 +133,35 @@ def _ryser_int(rows: list[list[int]]) -> int:
         return _ryser_int_bigint(rows)
 
     mat = np.array(rows, dtype=np.int64)
-    h = d // 2
-    low = _subset_row_sums(mat, range(h))
-    high = _subset_row_sums(mat, range(h, d))
-    par_low = _parities(h)
-    par_high = _parities(d - h)
+    h = (d + 1) // 2
+    in_low = mat[:, :h].any(axis=1)
+    in_high = mat[:, h:].any(axis=1)
+    mixed = in_low & in_high
+    # A row without high columns (a zero row too) gives a factor that does
+    # not depend on the high subset, so it is folded into the signed base
+    # over low subsets.  A row without low columns gives one scalar per
+    # high subset; where that is 0 the whole block is skipped.
+    base = _parities(h) * _subset_row_sums(mat[~in_high], range(h)).prod(axis=1)
+    scale = _parities(d - h) * _subset_row_sums(mat[in_high & ~in_low], range(h, d)).prod(axis=1)
+    low = _subset_row_sums(mat[mixed], range(h)).T.copy()  # one row per mixed row
+    high = _subset_row_sums(mat[mixed], range(h, d))
+    live = np.flatnonzero(scale)
+    width = 1 << h
+    batch = max(1, min(len(live), _BATCH_BYTES // (8 * width)))
+    prods = np.empty((batch, width), dtype=np.int64)
+    row_sums = np.empty_like(prods)
     # int64 partial sums stay exact in slices of this length
-    slice_len = max(1, min(len(low), (1 << 62) // max(bound, 1)))
+    starts = np.arange(0, width, (1 << 62) // bound)
     total = 0
-    for s in range(len(high)):
-        prods = (low + high[s]).prod(axis=1) * par_low
-        if slice_len >= len(prods):
-            part = int(prods.sum())
-        else:
-            part = sum(
-                int(prods[i : i + slice_len].sum())
-                for i in range(0, len(prods), slice_len)
-            )
-        total += int(par_high[s]) * part
+    for k in range(0, len(live), batch):
+        s = live[k : k + batch]
+        p, r, hs = prods[: len(s)], row_sums[: len(s)], high[s]
+        p[:] = base
+        for i in range(len(low)):
+            np.add(low[i], hs[:, i : i + 1], out=r)
+            np.multiply(p, r, out=p)
+        parts = np.add.reduceat(p, starts, axis=1).tolist()
+        total += sum(c * sum(part) for c, part in zip(scale[s].tolist(), parts))
     return total if d % 2 == 0 else -total
 
 

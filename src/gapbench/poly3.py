@@ -203,12 +203,12 @@ def restrict_with_constant(f: Poly3, j: int, b: int) -> tuple[Poly3, int]:
     bare term x_j produces the constant 1, which Poly3 cannot hold, so
     the constant comes back separately:  f(x)|_{x_j=b} = poly(x') + c.
     """
-    if f.n < 2:
-        raise ValueError("cannot restrict a 1-variable polynomial")
     if not 0 <= j < f.n:
         raise ValueError(f"variable index {j} out of range [0, {f.n})")
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b!r}")
+    if f.n < 2:
+        raise ValueError("cannot restrict a 1-variable polynomial")
 
     def reindex(i: int) -> int:
         return i if i < j else i - 1

@@ -1,6 +1,7 @@
 """Average-case reduction, certificates, and collision-test acceptance."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from gapbench.poly3 import (
     parse_poly,
     random_poly,
     strip_linear,
+    truth_table,
 )
 
 WORKED_F = parse_poly("x1 + x2 + x1*x2 + x1*x2*x3", 3)
@@ -242,6 +244,24 @@ def test_certificate_paper_instance():
     cert = av.find_certificate(WORKED_F)
     assert cert is not None
     assert av.certificate_verify(lambda x: evaluate(WORKED_F, x), 3, cert)
+
+
+def test_find_certificate_is_an_int64_array_in_bounded_memory():
+    n = 20
+    f = random_poly(n, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        cert = av.find_certificate(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table, its mask and one index array; 2^(n-1)+1 Python ints took 25 MiB
+    assert peak < 16 * 2**20
+    assert cert.dtype == np.int64 and cert.shape == (av.certificate_size(n),)
+    tt = truth_table(f)
+    value = tt[cert[0]]
+    # the lexically first points of one value
+    assert np.array_equal(cert, np.flatnonzero(tt == value)[: len(cert)])
 
 
 def test_find_certificate_cap():

@@ -131,6 +131,32 @@ def test_gap_restrict_to_one_carries_the_constant(capsys, tmp_path):
     assert not emitted.exists()
 
 
+@pytest.mark.parametrize("text, pins, value", [
+    ("x1", ["1=0"], 0),
+    ("x1", ["1=1"], 1),
+    # x2 = 1 leaves the constant 1, whatever x1 is then pinned to
+    ("x1 + x2 + x1*x2", ["2=1", "1=0"], 1),
+    ("x1 + x2 + x1*x2", ["1=0", "1=0"], 0),
+])
+def test_gap_restrict_every_variable_leaves_a_constant(capsys, tmp_path, text, pins, value):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    argv = ["gap", "--poly", str(path), "--assign", "0", "--format", "structured"]
+    for pin in pins:
+        argv += ["--restrict", pin]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rec = records(out)[0]
+    # the constant c on no variables has gap (-1)^c
+    assert (rec["gap"], rec["zeros"], rec["ones"], rec["n"]) == ((-1) ** value, 1 - value, value, 0)
+    assert (rec["terms"], rec["term_budget"]) == (0, 0)
+    assert rec["text"] == ("0 + 1" if value else "0")
+    assert rec["value_at"] == {"assignment": 0, "value": value}
+    code, out, _ = run(capsys, *argv, "--restrict", "1=0")
+    assert code == 1
+    assert records(out)[0]["error"]["message"] == "variable index 0 out of range [0, 0)"
+
+
 def test_gap_runs_brute_force_once(capsys, monkeypatch, paper_poly):
     calls = count_brute_force_calls(monkeypatch)
     code, out, _ = run(capsys, "gap", "--poly", paper_poly, "--format", "structured")

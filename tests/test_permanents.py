@@ -15,9 +15,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapbench import permanents as pm
 from gapbench.poly3 import CapExceeded
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def oracle_permanent(rows):
@@ -114,6 +118,58 @@ def test_bigint_walk_agrees_with_vector_path():
         fast = pm._ryser_int([[int(v) for v in row] for row in mat])
         slow = pm._ryser_int_bigint([[int(v) for v in row] for row in mat])
         assert fast == slow
+
+
+@st.composite
+def int_matrices(draw):
+    # The integer kernel splits the columns at h = ceil(d/2).  Each row gets
+    # a nonzero on a random permutation, so most permanents are nonzero, and
+    # then either the rest of its pool or up to three more nonzeros in it;
+    # the pool is every column or the half that first nonzero lies in.  A
+    # zero row or a blank half is drawn too.  Entries of magnitude <= 2 keep
+    # the certified bound below 24^12 < 2^62, so the int64 path always runs.
+    d = draw(st.integers(1, 12))
+    h = (d + 1) // 2
+    value = st.sampled_from([-2, -1, 1, 2])
+    mat = np.zeros((d, d), dtype=np.int64)
+    for i, j in enumerate(draw(st.permutations(range(d)))):
+        pool = draw(st.sampled_from([range(d), range(h) if j < h else range(h, d)]))
+        if draw(st.booleans()):
+            cols = list(pool)
+        else:
+            cols = [j, *draw(st.lists(st.sampled_from(pool), max_size=3))]
+        for c in cols:
+            mat[i, c] = draw(value)
+    defect = draw(st.sampled_from([None, None, "row", "low", "high"]))
+    if defect == "row":
+        mat[draw(st.integers(0, d - 1))] = 0
+    elif defect == "low":
+        mat[:, :h] = 0
+    elif defect == "high":
+        mat[:, h:] = 0
+    return mat
+
+
+@given(int_matrices())
+@PROPERTY
+def test_int64_path_matches_the_bigint_walk(mat):
+    rows = mat.tolist()
+    per = pm.permanent_ryser(mat)
+    assert per == pm._ryser_int_bigint(rows)
+    if len(rows) <= 8:
+        assert per == pm.permanent_naive(rows)
+
+
+def test_partial_sums_stay_exact_past_int64():
+    # Two blocks [[k, -k], [k, -k]] fill the low half of an 8x8 matrix and
+    # an identity the high half.  The certified bound k^4 is below 2^62, but
+    # the 16 products of the one live high subset sum to 4k^4 > 2^63.
+    k = 46340
+    mat = np.zeros((8, 8), dtype=np.int64)
+    mat[0:2, 0:2] = mat[2:4, 2:4] = [[k, -k], [k, -k]]
+    mat[4:, 4:] = np.eye(4, dtype=np.int64)
+    assert k**4 < 2**62 and 4 * k**4 > 2**63
+    assert pm.permanent_ryser(mat) == pm._ryser_int_bigint(mat.tolist()) == 4 * k**4
 
 
 def test_huge_entries_stay_exact():
