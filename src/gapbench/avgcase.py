@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .circuits import classify_from_gap
-from .config import dist_cap
+from .config import check
 from .poly3 import (
-    CapExceeded,
     Poly3,
     gap_bruteforce,
     linear_part,
@@ -159,7 +158,7 @@ def certificate_verify(f_oracle: Callable[[int], int], n: int, assignments: Sequ
     return all(f_oracle(x) == first for x in points[1:])
 
 
-def find_certificate(f: Poly3, cap: int | None = None) -> np.ndarray | None:
+def find_certificate(f: Poly3) -> np.ndarray | None:
     """An accepting certificate for f, or None if f is balanced.
 
     The majority value has at least 2^{n-1}+1 preimages exactly when the
@@ -168,9 +167,7 @@ def find_certificate(f: Poly3, cap: int | None = None) -> np.ndarray | None:
     2^n entries, so the distribution cap applies, checked before any
     table is built.
     """
-    limit = dist_cap() if cap is None else cap
-    if f.n > limit:
-        raise CapExceeded(f"find_certificate: n = {f.n} exceeds cap {limit}")
+    check("DIST_CAP", f.n, "find_certificate: n")
     tt = truth_table(f).reshape(-1)
     need = certificate_size(f.n)
     for value in (0, 1):
@@ -194,7 +191,7 @@ class SbThresholds:
     n: int
     L: int
     log_t: float
-    c: float = 1.5
+    c: ClassVar[float] = 1.5
 
     @property
     def log_t_over_c(self) -> float:

@@ -30,8 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import check
 from .poly3 import Poly3, gap_bruteforce, linear_part, strip_linear
-from .statevector import Circuit, Gate, check_distribution_cap, full_distribution, run
+from .statevector import Circuit, Gate, full_distribution, run
 
 GAMMA = math.pi / 2
 BETA = math.pi / 4
@@ -73,7 +74,7 @@ def class_distribution(fbar: Poly3) -> np.ndarray:
     whole linear-shift class of fbar.  The distribution cap is checked
     before the state is simulated.
     """
-    check_distribution_cap(fbar.n, "class_distribution: n")
+    check("DIST_CAP", fbar.n, "class_distribution: n")
     return full_distribution(run(build_iqp(fbar)))
 
 

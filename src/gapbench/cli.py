@@ -2,8 +2,9 @@
 
 Each subcommand is a thin adapter: it loads its inputs, calls the
 library, and formats the result.  Resource caps are not handled here;
-every exponential routine resolves its own cap from the environment, so
-a cap overrun or a malformed override surfaces as a domain error.
+every exponential routine checks its own cap through `config`, which
+reads it from the environment, so a cap overrun or a malformed override
+surfaces as a domain error.
 Output comes in two formats: `human` (readable lines) and `structured`
 (line-delimited JSON records carrying a schema version).  Structured
 output is byte-identical across runs with the same inputs; wall-clock
@@ -27,12 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import avgcase, circuits, cyclecover, estimator, fastcount
+from . import avgcase, circuits, config, cyclecover, estimator, fastcount
 from . import gapdist, permanents, poly3, statevector
 
 SCHEMA_VERSION = 1
-
-SECONDS_PER_YEAR = estimator.SECONDS_PER_YEAR
 
 
 class UsageError(Exception):
@@ -232,12 +231,17 @@ def _cmd_count(args, out: Output) -> int:
 
 
 def _cmd_simulate(args, out: Output) -> int:
+    if args.samples is not None and args.samples < 0:
+        raise UsageError("--samples must be nonnegative")
     circ = statevector.circuit_loads(Path(args.circuit).read_text())
     if args.samples is not None:
         seed = _require_seed(args, "sampling draws random outcomes")
-    if args.amplitude is None:
-        # both other modes read the whole distribution: refuse before simulating
-        statevector.check_distribution_cap(circ.q, "full_distribution: q")
+    # refuse before simulating: an amplitude needs an index in range, and
+    # the other modes read the whole distribution
+    if args.amplitude is not None:
+        statevector.check_index(circ.q, args.amplitude)
+    else:
+        config.check("DIST_CAP", circ.q, "full_distribution: q")
     state = statevector.run(circ)
     if args.amplitude is not None:
         amp = statevector.amplitude(state, args.amplitude)
@@ -316,6 +320,8 @@ def _cmd_harness_a(args, out: Output) -> int:
     eps = args.epsilon
     if eps < 0:
         raise UsageError("--epsilon must be nonnegative")
+    if args.trials is not None and args.trials <= 0:
+        raise UsageError("--trials must be positive")
     thresholds = circuits.SgapThresholds.for_n(f.n)
     fbar = poly3.strip_linear(f)
 
@@ -633,7 +639,7 @@ def _estimate_record(e: estimator.Estimate, flagged: bool = False) -> dict:
 
 def _cmd_estimate(args, out: Output) -> int:
     models = list(estimator.MODELS) if args.model == "all" else [args.model]
-    horizon = args.horizon_years * SECONDS_PER_YEAR
+    horizon = args.horizon_years * estimator.SECONDS_PER_YEAR
     run = estimator.qubits_for_gate_linear if args.per_element \
         else estimator.qubits_for_horizon
     if args.format == "human":
@@ -1019,8 +1025,8 @@ def dispatch(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (poly3.ParseError, poly3.CapExceeded, ValueError, ArithmeticError,
-            KeyError, OSError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError,
+            np.linalg.LinAlgError) as exc:
         out.error(exc)
         return 1
     if args.timings:

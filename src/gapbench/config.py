@@ -1,12 +1,18 @@
-"""Runtime caps and environment overrides.
+"""Runtime caps, environment overrides, and the one cap check.
 
 Every exponential-cost routine in the package refuses work beyond a cap
-instead of thrashing the machine.  Caps are read from GAPBENCH_<NAME>
-environment variables and clamped to hard ceilings chosen so memory use
-stays within a desktop budget.
+instead of thrashing the machine, by calling `check` with its cap's
+name.  Caps are read from GAPBENCH_<NAME> environment variables and
+clamped to hard ceilings chosen so memory use stays within a desktop
+budget.
 """
 
 import os
+
+
+class CapExceeded(ValueError):
+    """An exponential-cost routine was asked to exceed its size cap."""
+
 
 _HARD = {
     "BRUTE_CAP": 32,   # gap_bruteforce variable count
@@ -38,6 +44,13 @@ def _read(name):
     if value < 1:
         raise ValueError(f"GAPBENCH_{name} must be positive, got {value}")
     return min(value, _HARD[name])
+
+
+def check(name: str, value: int, label: str) -> None:
+    """Refuse `value` above the cap `name`; `label` names the routine and quantity."""
+    limit = _read(name)
+    if value > limit:
+        raise CapExceeded(f"{label} = {value} exceeds cap {limit}")
 
 
 def brute_cap() -> int:

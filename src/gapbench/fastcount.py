@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import eval_cap
-from .poly3 import CapExceeded, Poly3
+from .config import check
+from .poly3 import Poly3
 from .transform import mobius, term_masks, zeta
 
 _MASK64 = (1 << 64) - 1
@@ -99,11 +99,9 @@ def monomial(m: int, l: int, var_mask: int, value: int = 1) -> MultilinearPoly:
     return MultilinearPoly(m=m, l=l, coeffs=coeffs)
 
 
-def eval_all(p: MultilinearPoly, cap: int | None = None) -> np.ndarray:
+def eval_all(p: MultilinearPoly) -> np.ndarray:
     """Value table over all 2^m points, entry y = p(y) mod 2^l."""
-    limit = eval_cap() if cap is None else cap
-    if p.m > limit:
-        raise CapExceeded(f"eval_all: m = {p.m} exceeds cap {limit}")
+    check("EVAL_CAP", p.m, "eval_all: m")
     table = zeta(p.coeffs.copy())
     table &= np.uint64(p.mask)
     return table
@@ -217,17 +215,16 @@ def _exact_sum(values: np.ndarray, l: int) -> int:
     )
 
 
-def count_ones_lptwy(f: Poly3, t: int, l: int | None = None) -> int:
+def count_ones_lptwy(f: Poly3, t: int) -> int:
     """Exact number of inputs with f(x) = 1, via per-block residues."""
-    poly = r_poly(f, t, l=l)
+    poly = r_poly(f, t)
     blocks = eval_all(poly)
     return _exact_sum(blocks, poly.l)
 
 
-def block_counts(f: Poly3, t: int, l: int | None = None) -> np.ndarray:
+def block_counts(f: Poly3, t: int) -> np.ndarray:
     """Satisfying-assignment count of each fixed-variable block."""
-    poly = r_poly(f, t, l=l)
-    return eval_all(poly)
+    return eval_all(r_poly(f, t))
 
 
 # -- the monomial-count budget ------------------------------------------------

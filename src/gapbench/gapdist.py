@@ -20,7 +20,8 @@ import numpy as np
 
 from . import config, transform
 from .circuits import classify_from_gap
-from .poly3 import CapExceeded, all_terms, max_terms
+from .config import CapExceeded
+from .poly3 import all_terms, max_terms
 
 _EXACT_N_CAP = 4
 _EXACT_K_CAP = 4
@@ -79,13 +80,6 @@ class GapSampler:
         self.n = n
         self.term_count = max_terms(n)
         self._masks = transform.term_masks(all_terms(n))
-
-    def gap_of_mask(self, mask: np.ndarray) -> int:
-        """Exact gap of the polynomial selecting terms where mask is true."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.term_count,):
-            raise ValueError(f"mask must have length {self.term_count}")
-        return int(transform.gaps(mask[None, :], self._masks, self.n)[0])
 
     def gaps(self, samples: int, seed: int) -> np.ndarray:
         """samples iid gap draws, deterministic in seed.
@@ -297,12 +291,13 @@ class MassPoly:
             acc = acc * x + coeff
         return acc
 
-    def grid_max_excess(self, limit: int = 20, step_denom: int = 1000) -> Fraction:
-        """max of p(x) - indicator(x <= 1/4) over x = i/step_denom in [0, limit].
+    def grid_max_excess(self) -> Fraction:
+        """max of p(x) - indicator(x <= 1/4) over the grid x = i/1000 in [0, 20].
 
         Exact integer arithmetic throughout: coefficients are cleared to a
         common denominator and the grid points are rationals.
         """
+        limit, step_denom = 20, 1000
         d = math.lcm(*(c.denominator for c in self.x_coeffs))
         deg = len(self.x_coeffs) - 1
         # scaled coeff of x^j: numerator * step_denom^{deg-j}, so Horner in i

@@ -33,8 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import naive_cap, ryser_cap
-from .poly3 import CapExceeded
+from .config import check
+
+# Entry-wise tolerances for the Hermitian and unitary input checks
+_HERM_TOL = 1e-10
+_UNITARY_TOL = 1e-8
 
 
 def _is_integer_matrix(a) -> bool:
@@ -56,13 +59,11 @@ def _as_square(a):
     return rows
 
 
-def permanent_naive(a, cap: int | None = None):
+def permanent_naive(a):
     """Permanent by summing over all permutations.  Reference oracle."""
     rows = _as_square(a)
     d = len(rows) if not isinstance(rows, np.ndarray) else rows.shape[0]
-    limit = naive_cap() if cap is None else cap
-    if d > limit:
-        raise CapExceeded(f"permanent_naive: d = {d} exceeds cap {limit}")
+    check("NAIVE_CAP", d, "permanent_naive: d")
     if d == 0:
         return 1
     if isinstance(rows, np.ndarray):
@@ -76,7 +77,7 @@ def permanent_naive(a, cap: int | None = None):
     return total
 
 
-def permanent_ryser(a, cap: int | None = None):
+def permanent_ryser(a):
     """Permanent by inclusion-exclusion over column subsets.
 
     Exact integers for integer input (arbitrary precision if needed),
@@ -90,9 +91,7 @@ def permanent_ryser(a, cap: int | None = None):
     """
     rows = _as_square(a)
     d = rows.shape[0] if isinstance(rows, np.ndarray) else len(rows)
-    limit = ryser_cap() if cap is None else cap
-    if d > limit:
-        raise CapExceeded(f"permanent_ryser: d = {d} exceeds cap {limit}")
+    check("RYSER_CAP", d, "permanent_ryser: d")
     if d == 0:
         return 1
     if _is_integer_matrix(rows):
@@ -223,19 +222,19 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[0]) if mat.size else 0.0
 
 
-def herm_eig(h, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix (validated within tol)."""
+def herm_eig(h):
+    """Eigendecomposition of a Hermitian matrix (validated within _HERM_TOL)."""
     mat = np.asarray(h, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square matrix")
-    if np.max(np.abs(mat - mat.conj().T)) > tol:
+    if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(mat)
 
 
-def herm_apply(h, fn, tol: float = 1e-10) -> np.ndarray:
+def herm_apply(h, fn) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix via its spectrum."""
-    vals, vecs = herm_eig(h, tol=tol)
+    vals, vecs = herm_eig(h)
     return (vecs * fn(vals)) @ vecs.conj().T
 
 
@@ -291,7 +290,7 @@ def unitarity_defect(u) -> float:
 # -- photonic amplitudes ------------------------------------------------------
 
 
-def fock_amplitude(u, occ_in, occ_out, tol: float = 1e-8) -> complex:
+def fock_amplitude(u, occ_in, occ_out) -> complex:
     """Transition amplitude between photon occupation patterns.
 
     <occ_in| phi(U) |occ_out> = Per(U_(R,R')) / sqrt(prod r_i! prod r'_j!),
@@ -301,7 +300,7 @@ def fock_amplitude(u, occ_in, occ_out, tol: float = 1e-8) -> complex:
     mat = np.asarray(u, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square matrix")
-    if unitarity_defect(mat) > tol:
+    if unitarity_defect(mat) > _UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     m = mat.shape[0]
     r_in = [int(v) for v in occ_in]

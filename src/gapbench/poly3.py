@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import brute_cap
+from .config import check
 from .transform import gaps, packed_truth_tables, term_masks
 
 
@@ -33,10 +33,6 @@ class ParseError(ValueError):
     def __init__(self, message, position=None):
         super().__init__(message)
         self.position = position
-
-
-class CapExceeded(ValueError):
-    """An exponential-cost routine was asked to exceed its size cap."""
 
 
 def max_terms(n: int) -> int:
@@ -153,16 +149,14 @@ def truth_table(f: Poly3) -> np.ndarray:
 _TABLE_LIMIT = 24
 
 
-def gap_bruteforce(f: Poly3, cap: int | None = None) -> int:
+def gap_bruteforce(f: Poly3) -> int:
     """Exact gap by exhaustive evaluation.  Refuses n beyond the cap.
 
     The variables above the lowest low = min(n, _TABLE_LIMIT) pick a row
     of one table batch: in row a, a term survives when all its variables
     above low are set in a, and keeps its part below (maybe the constant 1).
     """
-    limit = brute_cap() if cap is None else cap
-    if f.n > limit:
-        raise CapExceeded(f"gap_bruteforce: n = {f.n} exceeds cap {limit}")
+    check("BRUTE_CAP", f.n, "gap_bruteforce: n")
     low = min(f.n, _TABLE_LIMIT)
     masks = term_masks(f.terms())
     blocks = np.arange(1 << (f.n - low))[:, None]

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import dist_cap, sim_cap
-from .poly3 import CapExceeded
+from .config import check
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -79,7 +78,7 @@ def zero_state(q: int) -> np.ndarray:
     return amps
 
 
-def _pair_view(state: np.ndarray, q: int, t: int):
+def _pair_view(state: np.ndarray, t: int):
     # groups amplitudes into (high, bit t, low) blocks
     return state.reshape(-1, 2, 1 << t)
 
@@ -93,13 +92,13 @@ def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
             raise ValueError(f"target {t} out of range for q = {q}")
 
     if gate.kind == "h":
-        view = _pair_view(state, q, gate.targets[0])
+        view = _pair_view(state, gate.targets[0])
         a = view[:, 0, :].copy()
         b = view[:, 1, :]
         view[:, 0, :] = (a + b) * _INV_SQRT2
         view[:, 1, :] = (a - b) * _INV_SQRT2
     elif gate.kind == "xrot":
-        view = _pair_view(state, q, gate.targets[0])
+        view = _pair_view(state, gate.targets[0])
         a = view[:, 0, :].copy()
         b = view[:, 1, :]
         c, s = math.cos(gate.beta), math.sin(gate.beta)
@@ -120,34 +119,29 @@ def _scale_pattern(state, q, targets, pattern, factor):
     view[tuple(sel)] *= factor
 
 
-def run(circuit: Circuit, cap: int | None = None) -> np.ndarray:
+def run(circuit: Circuit) -> np.ndarray:
     """Run the circuit from |0...0> and return the final amplitudes."""
-    limit = sim_cap() if cap is None else cap
-    if circuit.q > limit:
-        raise CapExceeded(f"run: q = {circuit.q} exceeds cap {limit}")
+    check("SIM_CAP", circuit.q, "run: q")
     state = zero_state(circuit.q)
     for gate in circuit.gates:
         apply_gate(state, gate, circuit.q)
     return state
 
 
-def amplitude(state: np.ndarray, idx: int) -> complex:
-    if not 0 <= idx < state.shape[0]:
+def check_index(q: int, idx: int) -> None:
+    """Refuse a basis index outside [0, 2^q)."""
+    if not 0 <= idx < 1 << q:
         raise ValueError(f"basis index {idx} out of range")
+
+
+def amplitude(state: np.ndarray, idx: int) -> complex:
+    check_index(state.shape[0].bit_length() - 1, idx)
     return complex(state[idx])
 
 
-def check_distribution_cap(q: int, label: str, cap: int | None = None) -> None:
-    """Refuse a 2^q-entry distribution above the distribution cap; callers
-    that simulate only to read the whole distribution check it first."""
-    limit = dist_cap() if cap is None else cap
-    if q > limit:
-        raise CapExceeded(f"{label} = {q} exceeds cap {limit}")
-
-
-def full_distribution(state: np.ndarray, cap: int | None = None) -> np.ndarray:
+def full_distribution(state: np.ndarray) -> np.ndarray:
     """|amplitude|^2 for every basis state (float64, sums to 1)."""
-    check_distribution_cap(state.shape[0].bit_length() - 1, "full_distribution: q", cap)
+    check("DIST_CAP", state.shape[0].bit_length() - 1, "full_distribution: q")
     return np.abs(state) ** 2
 
 

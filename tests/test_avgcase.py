@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import gapbench.avgcase as av
+from gapbench.config import CapExceeded
 from gapbench.poly3 import (
-    CapExceeded,
     Poly3,
     all_terms,
     evaluate,
@@ -264,10 +264,11 @@ def test_find_certificate_is_an_int64_array_in_bounded_memory():
     assert np.array_equal(cert, np.flatnonzero(tt == value)[: len(cert)])
 
 
-def test_find_certificate_cap():
+def test_find_certificate_cap(monkeypatch):
+    monkeypatch.setenv("GAPBENCH_DIST_CAP", "1")
     f = Poly3.from_terms(2, [(0,)])
     with pytest.raises(CapExceeded):
-        av.find_certificate(f, cap=1)
+        av.find_certificate(f)
 
 
 # ------------------------------------------------------------ SB thresholds

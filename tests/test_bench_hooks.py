@@ -18,3 +18,15 @@ def test_every_benchmark_hook_target_is_callable(monkeypatch):
     assert hooks
     missing = [h.name for h in hooks if not callable(getattr(h.owner, h.attr, None))]
     assert missing == []
+
+
+def test_the_bench_cap_record_reads_exactly_the_six_accessors():
+    # bench/worker.py calls every config attribute ending in _cap with no
+    # arguments and records the result; bench/compare.py refuses runs
+    # whose records differ
+    from gapbench import config
+
+    names = sorted(k for k in dir(config) if k.endswith("_cap"))
+    assert names == ["brute_cap", "dist_cap", "eval_cap", "naive_cap", "ryser_cap",
+                     "sim_cap"]
+    assert all(type(getattr(config, k)()) is int for k in names)

@@ -289,6 +289,32 @@ def test_simulate_refuses_before_simulating(capsys, monkeypatch, tmp_path, mode)
         "type": "CapExceeded", "message": "full_distribution: q = 10 exceeds cap 6"}
 
 
+@pytest.mark.parametrize("samples", ["-1", "-3"])
+def test_simulate_negative_samples_is_usage_error(capsys, cubic_poly, tmp_path, samples):
+    circ = tmp_path / "c4.json"
+    run(capsys, "iqp", "--poly", cubic_poly, "--emit-circuit", str(circ))
+    code, out, err = run(capsys, "simulate", "--circuit", str(circ), "--samples", samples,
+                         "--seed", "1", "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == "error: --samples must be nonnegative\n"
+
+
+def test_simulate_amplitude_index_is_checked_before_simulating(capsys, monkeypatch,
+                                                                cubic_poly, tmp_path):
+    circ = tmp_path / "c5.json"
+    run(capsys, "iqp", "--poly", cubic_poly, "--emit-circuit", str(circ))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated a state for an index out of range")
+
+    monkeypatch.setattr(statevector, "run", no_run)
+    code, out, _ = run(capsys, "simulate", "--circuit", str(circ), "--amplitude", "99",
+                       "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "ValueError", "message": "basis index 99 out of range"}
+
+
 # -------------------------------------------------- qaoa, sgap, harness
 
 
@@ -361,6 +387,14 @@ def test_harness_sampled_mode_reads_probabilities_from_gaps(capsys, monkeypatch,
     assert rec["mode"] == "sampled"
     assert rec["correct_fraction"] == 1.0
     assert rec["input_decision"]["probability"] == poly3.gap_bruteforce(f) ** 2 / 4 ** 14
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_harness_nonpositive_trials_is_usage_error(capsys, cubic_poly, trials):
+    code, out, err = run(capsys, "harness-a", "--poly", cubic_poly, "--epsilon", "0",
+                         "--seed", "1", "--trials", trials, "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == "error: --trials must be positive\n"
 
 
 # --------------------------------------------------- permanents and optics

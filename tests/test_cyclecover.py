@@ -24,7 +24,8 @@ import pytest
 
 from gapbench import cyclecover as cc
 from gapbench.permanents import permanent_naive, permanent_ryser
-from gapbench.poly3 import CapExceeded, Poly3, gap_bruteforce, parse_poly
+from gapbench.config import CapExceeded
+from gapbench.poly3 import Poly3, gap_bruteforce, parse_poly
 
 
 def single_term_polys(max_n):

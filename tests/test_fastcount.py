@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from gapbench import fastcount as fc
+from gapbench.config import CapExceeded
 from gapbench.poly3 import (
-    CapExceeded,
     Poly3,
     parse_poly,
     random_poly,
@@ -95,15 +95,16 @@ def test_add_wraps_mod():
     assert fc.add(p, q).coefficients() == {0: 3}
 
 
-def test_validation():
+def test_validation(monkeypatch):
     with pytest.raises(ValueError):
         fc.MultilinearPoly(m=2, l=0, coeffs=np.zeros(4, dtype=np.uint64))
     with pytest.raises(ValueError):
         fc.MultilinearPoly(m=2, l=63, coeffs=np.zeros(4, dtype=np.uint64))
     with pytest.raises(ValueError):
         fc.MultilinearPoly(m=2, l=3, coeffs=np.zeros(5, dtype=np.uint64))
+    monkeypatch.setenv("GAPBENCH_EVAL_CAP", "9")
     with pytest.raises(CapExceeded):
-        fc.eval_all(fc.constant(10, 2, 1), cap=9)
+        fc.eval_all(fc.constant(10, 2, 1))
 
 
 # -- the amplifier ------------------------------------------------------------

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import gapbench.gapdist as gd
-from gapbench import circuits
-from gapbench.poly3 import CapExceeded, Poly3, all_terms, gap_bruteforce, max_terms
+from gapbench import circuits, transform
+from gapbench.config import CapExceeded
+from gapbench.poly3 import Poly3, all_terms, gap_bruteforce, max_terms
 
 # printed reference list for the mass polynomial coefficients c_j
 C_LIST = [1, -6.0672, 29.9730, -114.8688, 345.0021, -829.2997, 1620.0455,
@@ -234,19 +235,15 @@ def test_mass_poly_evaluator_consistency():
 # ------------------------------------------------------------ gap sampling
 
 def test_sampler_matches_bruteforce_small_n():
-    s = gd.GapSampler(3)
-    terms = all_terms(3)
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        mask = rng.integers(0, 2, max_terms(3)).astype(bool)
-        f = Poly3.from_terms(3, [terms[i] for i in np.flatnonzero(mask)])
-        assert s.gap_of_mask(mask) == gap_bruteforce(f)
+    drawn = gd.GapSampler(3).gaps(100, seed=7)
+    assert drawn.tolist() == [gap_bruteforce(f) for f in seed_contract_polys(3, 100, 7)]
 
 
 def test_sampler_zero_mask_gives_full_gap():
+    # the sampler's kernel on the all-false coefficient mask: f = 0
     for n in (2, 5, 16):
-        s = gd.GapSampler(n)
-        assert s.gap_of_mask(np.zeros(max_terms(n), dtype=bool)) == 1 << n
+        zero = np.zeros((1, max_terms(n)), dtype=bool)
+        assert transform.gaps(zero, transform.term_masks(all_terms(n)), n)[0] == 1 << n
 
 
 def seed_contract_polys(n, samples, seed):

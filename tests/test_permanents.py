@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapbench import permanents as pm
-from gapbench.poly3 import CapExceeded
+from gapbench.config import CapExceeded
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -178,15 +178,17 @@ def test_huge_entries_stay_exact():
     assert pm.permanent_ryser(mat) == oracle_permanent(mat)
 
 
-def test_caps():
+def test_caps(monkeypatch):
     with pytest.raises(CapExceeded):
         pm.permanent_naive(np.zeros((11, 11), dtype=np.int64))
     with pytest.raises(CapExceeded):
         pm.permanent_ryser(np.zeros((31, 31), dtype=np.int64))
+    monkeypatch.setenv("GAPBENCH_NAIVE_CAP", "3")
+    monkeypatch.setenv("GAPBENCH_RYSER_CAP", "7")
     with pytest.raises(CapExceeded):
-        pm.permanent_naive(np.zeros((4, 4), dtype=np.int64), cap=3)
+        pm.permanent_naive(np.zeros((4, 4), dtype=np.int64))
     with pytest.raises(CapExceeded):
-        pm.permanent_ryser(np.zeros((8, 8), dtype=np.int64), cap=7)
+        pm.permanent_ryser(np.zeros((8, 8), dtype=np.int64))
 
 
 def test_nonsquare_rejected():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import gapbench.poly3 as poly3_module
 
+from gapbench.config import CapExceeded
 from gapbench.poly3 import (
-    CapExceeded,
     ParseError,
     Poly3,
     all_terms,
@@ -192,9 +192,10 @@ class TestGap:
             # whole 2^26-bit table would take 16
             assert peak < 8 << 20
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
+        monkeypatch.setenv("GAPBENCH_BRUTE_CAP", "12")
         with pytest.raises(CapExceeded):
-            gap_bruteforce(Poly3(n=20), cap=12)
+            gap_bruteforce(Poly3(n=20))
 
     def test_truth_table_agrees_with_evaluate(self):
         rng = np.random.default_rng(19)

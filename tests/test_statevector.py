@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gapbench.poly3 import CapExceeded
+from gapbench.config import CapExceeded
 from gapbench.statevector import (
     Circuit,
     Gate,
@@ -198,14 +198,16 @@ class TestMeasurement:
 
 
 class TestCapsAndSerialization:
-    def test_run_cap(self):
+    def test_run_cap(self, monkeypatch):
+        monkeypatch.setenv("GAPBENCH_SIM_CAP", "6")
         with pytest.raises(CapExceeded):
-            run(Circuit(q=8, gates=[]), cap=6)
+            run(Circuit(q=8, gates=[]))
 
-    def test_distribution_cap(self):
+    def test_distribution_cap(self, monkeypatch):
+        monkeypatch.setenv("GAPBENCH_DIST_CAP", "4")
         state = zero_state(6)
         with pytest.raises(CapExceeded):
-            full_distribution(state, cap=4)
+            full_distribution(state)
 
     def test_circuit_json_roundtrip(self):
         rng = np.random.default_rng(29)

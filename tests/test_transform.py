@@ -4,7 +4,7 @@ Property tests draw polynomials with n in 1..10, so tables smaller than
 one packed word (n < 6) are covered, and cross-check the routes to the
 same number: the packed truth table against pointwise evaluation, brute
 force against LPTWY counting at every free-variable count, the
-sampler's mask evaluation, the IQP amplitudes, the cycle-cover permanent
+sampler's gap kernel on a coefficient mask, the IQP amplitudes, the cycle-cover permanent
 and the quasi-average-case oracle recursion against brute force.
 """
 
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapbench import avgcase, circuits, cyclecover, fastcount
-from gapbench.gapdist import GapSampler
 from gapbench.poly3 import (
     Poly3,
     all_terms,
@@ -25,7 +24,7 @@ from gapbench.poly3 import (
     truth_table,
     with_linear,
 )
-from gapbench.transform import mobius, term_masks, words_for, zeta, zeta_gf2
+from gapbench.transform import gaps, mobius, term_masks, words_for, zeta, zeta_gf2
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -103,8 +102,9 @@ def test_bruteforce_matches_lptwy_for_every_t(f):
 @PROPERTY
 def test_gap_of_mask_matches_bruteforce(f):
     present = set(f.terms())
-    mask = np.array([t in present for t in all_terms(f.n)])
-    assert GapSampler(f.n).gap_of_mask(mask) == gap_bruteforce(f)
+    terms = all_terms(f.n)
+    mask = np.array([[t in present for t in terms]])
+    assert gaps(mask, term_masks(terms), f.n)[0] == gap_bruteforce(f)
 
 
 @given(polys())
