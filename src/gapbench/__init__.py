@@ -13,6 +13,7 @@ cyclecover   gap-to-permanent graph reduction
 gapdist      moments and promise statistics of the gap distribution
 avgcase      linear-part randomization, recursion, query harnesses
 estimator    qubit counts needed to outrun a classical FLOP budget
+reproduce    the headline tables regenerated and checked (import it by name)
 cli          command-line front end
 """
 

@@ -137,25 +137,26 @@ def certificate_size(n: int) -> int:
     return (1 << (n - 1)) + 1
 
 
-def certificate_verify(f_oracle: Callable[[int], int], n: int, assignments: Sequence[int]) -> bool:
+def certificate_verify(f_oracle: Callable[[np.ndarray], np.ndarray], n: int,
+                       assignments: Sequence[int]) -> bool:
     """Accept iff the black-box function is constant on the certificate.
 
     The certificate must contain exactly 2^{n-1}+1 distinct assignments:
     one more than half the cube, so constancy on it rules out balance.
+    The black box is queried once, with the int64 array of all of them,
+    and answers with their values (or one value for every point).
     """
-    points = list(assignments)
+    points = np.asarray(assignments, dtype=np.int64).reshape(-1)
     need = certificate_size(n)
-    if len(points) != need:
+    if points.size != need:
         raise ValueError(f"certificate must contain exactly {need} assignments")
-    seen = set()
-    for x in points:
-        if not 0 <= x < 1 << n:
-            raise ValueError("assignment out of range")
-        if x in seen:
-            raise ValueError("assignments must be distinct")
-        seen.add(x)
-    first = f_oracle(points[0])
-    return all(f_oracle(x) == first for x in points[1:])
+    ordered = np.sort(points)
+    if ordered[0] < 0 or ordered[-1] >= 1 << n:
+        raise ValueError("assignment out of range")
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("assignments must be distinct")
+    values = np.broadcast_to(f_oracle(points), points.shape)
+    return bool(np.all(values == values[0]))
 
 
 def find_certificate(f: Poly3) -> np.ndarray | None:

@@ -17,8 +17,9 @@ Two encodings are built here.
   proportional to gap(f)^2 (the measured ratio is 8^-n).
 
 The module also houses the threshold classifier for the squared-gap
-promise problem and the query algorithm that decides it from output
-probabilities of the hiding circuit.
+promise problem, the query algorithm that decides it from output
+probabilities of the hiding circuit, and the harness that measures that
+algorithm's robustness over a hiding class under a perturbation budget.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import check
-from .poly3 import Poly3, gap_bruteforce, linear_part, strip_linear
+from .poly3 import Poly3, gap_bruteforce, linear_part, strip_linear, with_linear
 from .statevector import Circuit, Gate, full_distribution, run
 
 GAMMA = math.pi / 2
@@ -319,3 +320,99 @@ def distribution_error(p, q) -> DistributionError:
     else:
         mult = float(np.max(np.abs(p[support] - q[support]) / q[support]))
     return DistributionError(additive=additive, multiplicative=mult)
+
+
+# -- the decision harness ------------------------------------------------------
+
+# largest n whose whole hiding class the harness sweeps
+EXHAUSTIVE_LIMIT = 12
+
+
+def decision_harness(f: Poly3, eps: float, trials: int | None = None,
+                     seed: int | None = None) -> dict:
+    """Robustness of `algorithm_a` over the hiding class of f.
+
+    Without `trials`, every member of the class is decided (at most
+    EXHAUSTIVE_LIMIT variables) against the exact class distribution as
+    perturbed by `greedy_adversary` with total budget eps.  With
+    `trials`, that many members are drawn with `seed` and each
+    probability, read as gap^2/4^n, is pushed its fair share eps/2^n
+    toward the wrong side.  A NO member left in the indeterminate band
+    counts as an error.  Returns the sweep's record: the correct fraction
+    against the 1 - 60 eps floor, and the decision on f itself.
+    """
+    if trials is None and f.n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"trials are required beyond {EXHAUSTIVE_LIMIT} variables")
+    if trials is not None and seed is None:
+        raise ValueError("sampled class members need a seed")
+    thresholds = SgapThresholds.for_n(f.n)
+    fbar = strip_linear(f)
+
+    def gap_at(delta: int) -> int:
+        return gap_bruteforce(with_linear(fbar, delta))
+
+    exhaustive = trials is None
+    if exhaustive:
+        deltas = list(range(1 << f.n))
+        # one simulation serves every member's probability
+        provider = ExactProvider()
+        exact = {d: provider(fbar, d) for d in deltas}
+        labels = {d: classify_from_gap(gap_at(d), f.n) for d in deltas}
+        view, spent, flipped = greedy_adversary(exact, labels, f.n, eps)
+
+        def perturbed(fb: Poly3, delta: int) -> float:
+            return view[delta]
+    else:
+        rng = np.random.default_rng(seed)
+        deltas = [int(d) for d in rng.integers(0, 1 << f.n, size=trials)]
+        # every probability read, the input's own too, is (gap/2^n)^2
+        gaps = {d: gap_at(d) for d in {*deltas, linear_part(f)}}
+        labels = {d: classify_from_gap(g, f.n) for d, g in gaps.items()}
+        # greedy flipping needs every class member's probability, which is
+        # what a large n rules out; commit each member's fair share of the
+        # budget toward the wrong side instead
+        share = eps / float(1 << f.n)
+
+        def perturbed(fb: Poly3, delta: int) -> float:
+            p = gaps[delta] ** 2 / 4 ** f.n
+            if labels[delta] == "YES":
+                return max(p - share, 0.0)
+            if labels[delta] == "NO":
+                return min(p + share, 1.0)
+            return p
+
+    promise = correct = 0
+    for delta in deltas:
+        label = labels[delta]
+        decision = algorithm_a(with_linear(fbar, delta), perturbed)
+        if label == "NONPROMISE":
+            continue
+        promise += 1
+        if label == "YES":
+            correct += decision.accept
+        else:
+            correct += (not decision.accept) and (not decision.indeterminate)
+
+    fraction = correct / promise if promise else 1.0
+    floor = 1.0 - 60.0 * eps
+    record = {
+        "n": f.n, "mode": "exhaustive" if exhaustive else "sampled", "epsilon": eps,
+        "promise_members": promise, "correct": correct, "correct_fraction": fraction,
+        "robustness_floor": floor, "ok": fraction >= floor,
+        "accept_threshold": thresholds.accept, "reject_threshold": thresholds.reject,
+    }
+    if exhaustive:
+        record["budget_spent"] = spent
+        record["flipped"] = flipped
+        # how far the adversary's view sits from the exact class
+        # distribution, once renormalized back to unit mass
+        exact_arr = np.array([exact[d] for d in deltas])
+        seen = np.array([view[d] for d in deltas])
+        err = distribution_error(seen / seen.sum(), exact_arr)
+        record["perturbation"] = {"additive": err.additive,
+                                  "multiplicative": err.multiplicative}
+    own = algorithm_a(f, perturbed)
+    record["input_decision"] = {"accept": own.accept, "indeterminate": own.indeterminate,
+                                "probability": own.probability}
+    return record
+

@@ -1,10 +1,18 @@
 """Command-line front end with structured, diffable output.
 
-Each subcommand is a thin adapter: it loads its inputs, calls the
-library, and formats the result.  Resource caps are not handled here;
-every exponential routine checks its own cap through `config`, which
-reads it from the environment, so a cap overrun or a malformed override
-surfaces as a domain error.
+Each subcommand is a thin adapter: it parses and checks its arguments,
+loads its inputs, calls the library, formats the result, and writes any
+file asked for.  The library returns plain data and neither prints nor
+writes files: `reproduce.run` returns the reproduction records, which
+`reproduce` renders and stores as report.jsonl, and
+`circuits.decision_harness` returns the `harness-a` record.  The record
+format (schema tag, JSON conversion) lives here alone.
+
+Resource caps are not handled here either: every exponential routine
+checks its own cap through `config`, which reads it from the
+environment, so a cap overrun or a malformed override surfaces as a
+domain error.
+
 Output comes in two formats: `human` (readable lines) and `structured`
 (line-delimited JSON records carrying a schema version).  Structured
 output is byte-identical across runs with the same inputs; wall-clock
@@ -29,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import avgcase, circuits, config, cyclecover, estimator, fastcount
-from . import gapdist, permanents, poly3, statevector
+from . import gapdist, permanents, poly3, reproduce, statevector
 
 SCHEMA_VERSION = 1
 
@@ -317,96 +325,15 @@ def _cmd_sgap_classify(args, out: Output) -> int:
 
 def _cmd_harness_a(args, out: Output) -> int:
     f = _load_poly(args.poly)
-    eps = args.epsilon
-    if eps < 0:
+    if args.epsilon < 0:
         raise UsageError("--epsilon must be nonnegative")
     if args.trials is not None and args.trials <= 0:
         raise UsageError("--trials must be positive")
-    thresholds = circuits.SgapThresholds.for_n(f.n)
-    fbar = poly3.strip_linear(f)
-
-    def gap_at(delta: int) -> int:
-        return poly3.gap_bruteforce(poly3.with_linear(fbar, delta))
-
-    exhaustive = args.trials is None and f.n <= 12
-    if exhaustive:
-        deltas = list(range(1 << f.n))
-        # one simulation serves every member's probability
-        provider = circuits.ExactProvider()
-        exact = {d: provider(fbar, d) for d in deltas}
-        labels = {d: circuits.classify_from_gap(gap_at(d), f.n) for d in deltas}
-        # the adversary spreads a total budget eps over the class distribution
-        view, spent, flipped = circuits.greedy_adversary(exact, labels, f.n, eps)
-
-        def perturbed(fb: poly3.Poly3, delta: int) -> float:
-            return view[delta]
-    else:
-        if args.trials is None:
-            raise UsageError("--trials is required beyond 12 variables")
-        seed = _require_seed(args, "class members are sampled beyond the "
-                                   "exhaustive size")
-        rng = np.random.default_rng(seed)
-        deltas = [int(d) for d in rng.integers(0, 1 << f.n, size=args.trials)]
-        # every probability read, the input's own too, is (gap/2^n)^2
-        gaps = {d: gap_at(d) for d in {*deltas, poly3.linear_part(f)}}
-        labels = {d: circuits.classify_from_gap(g, f.n) for d, g in gaps.items()}
-        # greedy flipping needs every class member's probability, which is
-        # what a large n rules out; commit each member's fair share of the
-        # budget toward the wrong side instead
-        share = eps / float(1 << f.n)
-
-        def perturbed(fb: poly3.Poly3, delta: int) -> float:
-            p = gaps[delta] ** 2 / 4 ** f.n
-            label = labels[delta]
-            if label == "YES":
-                return max(p - share, 0.0)
-            if label == "NO":
-                return min(p + share, 1.0)
-            return p
-
-    promise = correct = 0
-    for delta in deltas:
-        member = poly3.with_linear(fbar, delta)
-        label = labels[delta]
-        decision = circuits.algorithm_a(member, perturbed)
-        if label == "NONPROMISE":
-            continue
-        promise += 1
-        # a NO instance pushed into the indeterminate band counts as an
-        # error even though the decision still rejects
-        if label == "YES":
-            correct += decision.accept
-        else:
-            correct += (not decision.accept) and (not decision.indeterminate)
-
-    fraction = correct / promise if promise else 1.0
-    record = {
-        "n": f.n,
-        "mode": "exhaustive" if exhaustive else "sampled",
-        "epsilon": eps,
-        "promise_members": promise,
-        "correct": correct,
-        "correct_fraction": fraction,
-        "robustness_floor": 1.0 - 60.0 * eps,
-        "ok": fraction >= 1.0 - 60.0 * eps,
-        "accept_threshold": thresholds.accept,
-        "reject_threshold": thresholds.reject,
-    }
-    if exhaustive:
-        record["budget_spent"] = spent
-        record["flipped"] = flipped
-        # how far the adversary's view sits from the exact class
-        # distribution, once renormalized back to unit mass
-        exact_arr = np.array([exact[d] for d in deltas])
-        seen = np.array([view[d] for d in deltas])
-        err = circuits.distribution_error(seen / seen.sum(), exact_arr)
-        record["perturbation"] = {"additive": err.additive,
-                                  "multiplicative": err.multiplicative}
-    own = circuits.algorithm_a(f, perturbed)
-    record["input_decision"] = {"accept": own.accept,
-                                "indeterminate": own.indeterminate,
-                                "probability": own.probability}
-    out.emit(record, f"correct {correct}/{promise} = {fraction:.4f} "
+    if args.trials is None and f.n > circuits.EXHAUSTIVE_LIMIT:
+        raise UsageError(f"--trials is required beyond {circuits.EXHAUSTIVE_LIMIT} variables")
+    record = circuits.decision_harness(f, args.epsilon, args.trials, args.seed)
+    out.emit(record, f"correct {record['correct']}/{record['promise_members']} = "
+                     f"{record['correct_fraction']:.4f} "
                      f"(floor {record['robustness_floor']:.4f}) "
                      f"{'ok' if record['ok'] else 'VIOLATION'}")
     return 0
@@ -485,6 +412,8 @@ def _cmd_reduce(args, out: Output) -> int:
 
 def _cmd_stats(args, out: Output) -> int:
     mode = args.mode
+    if mode in ("moments", "promise") and args.samples is not None and args.samples <= 0:
+        raise UsageError("--samples must be positive")
     if mode == "moments":
         if args.n is None or args.k is None:
             raise UsageError("--n and --k are required for --mode moments")
@@ -568,11 +497,9 @@ def _cmd_avg_reduce(args, out: Output) -> int:
         record = {"n": f.n, "certificate_size": avgcase.certificate_size(f.n),
                   "found": cert is not None}
         if cert is not None:
-            points = cert.tolist()
-            verified = avgcase.certificate_verify(
-                lambda x: poly3.evaluate(f, x), f.n, points)
-            record["verified"] = verified
-            record["points"] = points
+            record["verified"] = avgcase.certificate_verify(
+                lambda xs: poly3.evaluate_points(f, xs), f.n, cert)
+            record["points"] = cert.tolist()
         out.emit(record, f"certificate {'found' if cert is not None else 'absent'} "
                          f"(size {record['certificate_size']})")
         return 0
@@ -620,21 +547,10 @@ _ESTIMATE_TABLE_HEADER = (
 )
 
 
-def _estimate_row(e: estimator.Estimate) -> str:
-    return (f"{e.model:<12} {e.constant:>8.4g} {e.mode:<12} {e.q:>5} "
-            f"{estimator.display_rounded(e.gates):>12} {e.log2_bound:>10.3f} "
-            f"{e.log2_target:>8.3f}")
-
-
-def _estimate_record(e: estimator.Estimate, flagged: bool = False) -> dict:
-    record = {
-        "model": e.model, "constant": e.constant, "mode": e.mode, "q": e.q,
-        "gates": e.gates, "gates_display": estimator.display_rounded(e.gates),
-        "log2_bound": e.log2_bound, "log2_target": e.log2_target,
-    }
-    if flagged:
-        record["non_default_constants"] = True
-    return record
+def _estimate_row(r: dict) -> str:
+    row = (f"{r['model']:<12} {r['constant']:>8.4g} {r['mode']:<12} {r['q']:>5} "
+           f"{r['gates_display']:>12} {r['log2_bound']:>10.3f} {r['log2_target']:>8.3f}")
+    return row + ("  [non-default constants]" if r.get("non_default_constants") else "")
 
 
 def _cmd_estimate(args, out: Output) -> int:
@@ -649,8 +565,8 @@ def _cmd_estimate(args, out: Output) -> int:
             model=model, constant=args.constant, flops=args.flops,
             horizon_seconds=horizon, per_element=args.per_element,
             budget=args.budget)
-        e = run(params)
-        out.emit(_estimate_record(e), _estimate_row(e))
+        record = run(params).as_record()
+        out.emit(record, _estimate_row(record))
         if args.weaken is not None:
             rep = estimator.conjecture_weakening(params, args.weaken,
                                                  args.weaken_mode)
@@ -664,190 +580,24 @@ def _cmd_estimate(args, out: Output) -> int:
     return 0
 
 
-# ------------------------------------------------------------- reproduce
-
-
-# reference values for the inversion-series coefficients and their sum
-_SERIES_REFERENCE = (
-    1.0, -6.0672, 29.9730, -114.8688, 345.0021, -829.2997, 1620.0455,
-    -2593.7392, 3410.0118, -3665.1216, 3183.4033, -2188.3186, 1149.8164,
-    -435.1008, 105.8449, -12.4590,
-)
-_SERIES_SUM_REFERENCE = 0.1222
-
-_HEADLINE_EXPECTED = {
-    ("iqp-mult", "horizon"): 185, ("qaoa-mult", "horizon"): 370,
-    ("boson-mult", "horizon"): 93, ("iqp-mult", "per-element"): 208,
-    ("qaoa-mult", "per-element"): 420, ("boson-mult", "per-element"): 98,
-}
-_GATE_DISPLAY_EXPECTED = {
-    ("iqp-mult", 185): (1_055_425, "1,060,000"),
-    ("qaoa-mult", 370): (2_111_775, "2,110,000"),
-    ("boson-mult", 93): (17_391, "17,400"),
-}
-
-
-def reproduce_all(out_dir: str, seed: int = 0, constant: float | None = None,
-                  emit=None) -> bool:
-    """Regenerate every headline table and check it against its reference.
-
-    Writes a line-delimited report to out_dir/report.jsonl.  A constant
-    override regenerates the estimate table with those parameters and
-    flags the rows instead of checking them.  Returns overall success.
-    """
-    records: list[dict] = []
-
-    def push(record: dict, human: str | None = None) -> None:
-        records.append(record)
-        if emit is not None:
-            emit(record, human)
-
-    def criterion(name: str, ok: bool, **details) -> bool:
-        push({"record": "criterion", "name": name, "ok": bool(ok), **details},
-             f"{'PASS' if ok else 'FAIL'}  {name}")
-        return bool(ok)
-
-    push({"record": "config", "seed": seed, "constant": constant})
-    results = []
-
-    # estimate table, six rows
-    non_default = constant is not None
-    all_match = True
-    for mode, run in (("horizon", estimator.qubits_for_horizon),
-                      ("per-element", estimator.qubits_for_gate_linear)):
-        for model in ("iqp-mult", "qaoa-mult", "boson-mult"):
-            params = estimator.EstimateParams(
-                model=model, constant=constant,
-                per_element=(mode == "per-element"))
-            e = run(params)
-            row = _estimate_record(e, flagged=non_default)
-            row["record"] = "table"
-            row["table"] = "estimates"
-            push(row, _estimate_row(e) + ("  [non-default constants]" if non_default else ""))
-            if not non_default:
-                all_match &= e.q == _HEADLINE_EXPECTED[(model, mode)]
-    if non_default:
-        results.append(criterion("estimates", True, skipped=True,
-                                 reason="non-default constants"))
-    else:
-        results.append(criterion("estimates", all_match))
-
-    # gate counts and their rounded display forms
-    ok = True
-    for (model, q), (gates, shown) in _GATE_DISPLAY_EXPECTED.items():
-        got = estimator.gate_count(model, q)
-        disp = estimator.display_rounded(got)
-        push({"record": "table", "table": "gates", "model": model, "q": q,
-              "gates": got, "display": disp})
-        ok &= got == gates and disp == shown
-    results.append(criterion("gate-display", ok))
-
-    # photonic two-mode fixture: repeated-index permanent and amplitude
-    u = np.array([[1, 1j], [-1j, -1]], dtype=np.complex128) / np.sqrt(2)
-    per = permanents.permanent_ryser(u[np.ix_([0, 0, 1], [0, 1, 1])])
-    amp = permanents.fock_amplitude(u, (2, 1), (1, 2))
-    ok = (abs(per - (-1j / math.sqrt(2))) < 1e-12
-          and abs(amp - (-1j / (2 * math.sqrt(2)))) < 1e-12)
-    push({"record": "table", "table": "photonic", "permanent": per,
-          "amplitude": amp})
-    results.append(criterion("photonic-fixture", ok))
-
-    # series coefficients of the threshold-mass polynomial
-    mp = gapdist.mass_poly()
-    coeffs = mp.c
-    c_sum = float(mp.c_sum())
-    worst = max(abs(c - r) for c, r in zip(coeffs, _SERIES_REFERENCE))
-    push({"record": "table", "table": "series", "c": list(coeffs),
-          "c_sum": c_sum, "max_deviation": worst})
-    results.append(criterion(
-        "series-coefficients",
-        worst < 5e-4 and abs(c_sum - _SERIES_SUM_REFERENCE) < 5e-5
-        and float(mp.grid_max_excess()) <= 0.0))
-
-    # worked three-variable instance, two independent routes to its gap
-    f = poly3.parse_poly("x1 + x2 + x1*x2 + x1*x2*x3", 3)
-    brute = poly3.gap_bruteforce(f)
-    amp_route = circuits.iqp_gap_amplitude(f).real * 8
-    push({"record": "table", "table": "instance", "text": poly3.to_text(f),
-          "gap": brute, "amplitude_route": amp_route})
-    results.append(criterion("instance-gap",
-                             brute == -2 and abs(amp_route - brute) < 1e-9))
-
-    # gap = scaled zero-amplitude identity on seeded random instances
-    rng = np.random.default_rng(seed)
-    ok = True
-    checked = 0
-    for n in range(2, 7):
-        for _ in range(5):
-            g = poly3.random_poly(n, rng)
-            lhs = circuits.iqp_gap_amplitude(g).real * (1 << n)
-            ok &= abs(lhs - poly3.gap_bruteforce(g)) < 1e-6
-            checked += 1
-    push({"record": "table", "table": "amplitude-identity", "instances": checked})
-    results.append(criterion("amplitude-identity", ok))
-
-    # acceptance/gap^2 is constant within each size
-    base = circuits.qaoa_acceptance(poly3.Poly3(n=1)) / 4
-    ratios = []
-    zeros_ok = True
-    terms = poly3.all_terms(2)
-    for mask in range(1 << len(terms)):
-        g = poly3.Poly3.from_terms(2, [t for i, t in enumerate(terms) if mask >> i & 1])
-        acc = circuits.qaoa_acceptance(g)
-        gap = poly3.gap_bruteforce(g)
-        if gap:
-            ratios.append(acc / gap**2)
-        else:
-            zeros_ok &= acc < 1e-12
-    spread = max(ratios) - min(ratios)
-    push({"record": "table", "table": "qaoa-ratio", "ratio_n1": base,
-          "ratio_n2": ratios[0], "spread_n2": spread})
-    results.append(criterion("qaoa-ratio",
-                             abs(base - 0.125) < 1e-12 and spread < 1e-10
-                             and zeros_ok))
-
-    # tiny-threshold acceptance separation at the promise boundary gaps
-    ok = True
-    for n in (4, 6, 8):
-        thr = avgcase.SbThresholds.for_n(n)
-        yes_g = avgcase.yes_threshold_gap(n)
-        no_g = avgcase.no_threshold_gap(n)
-        yes_p = avgcase.sb_acceptance_exact(yes_g, n)
-        no_p = avgcase.sb_acceptance_exact(no_g, n)
-        push({"record": "table", "table": "sb-thresholds", "n": n,
-              "log_t": thr.log_t, "yes_gap": yes_g, "no_gap": no_g,
-              "log_accept_yes": yes_p, "log_accept_no": no_p})
-        ok &= yes_p >= thr.log_t and no_p <= thr.log_t_over_c
-    results.append(criterion("sb-thresholds", ok))
-
-    # sampled promise mass at n = 16
-    rep = gapdist.promise_stats(16, samples=20_000, seed=seed)
-    promise = float(rep.yes_fraction + rep.no_fraction)
-    prom_se = math.sqrt(max(promise * (1 - promise), 1e-12) / rep.samples)
-    ok = (promise >= 0.2 - 3 * prom_se
-          and float(rep.p0) <= 11 / 12 + 3 * rep.p0_se
-          and float(rep.no_fraction) >= 0.05 - 3 * rep.no_se)
-    push({"record": "table", "table": "promise", "n": 16,
-          "samples": rep.samples, "yes": float(rep.yes_fraction),
-          "no": float(rep.no_fraction),
-          "nonpromise": float(rep.nonpromise_fraction), "p0": float(rep.p0)})
-    results.append(criterion("promise-sample", ok))
-
-    passed = all(results)
-    push({"record": "summary", "ok": passed, "criteria": len(results),
-          "passed": sum(results)},
-         f"{'ok' if passed else 'FAILED'}: {sum(results)}/{len(results)} criteria")
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    report = "".join(_record_line(r) + "\n" for r in records)
-    (out_path / "report.jsonl").write_text(report)
-    return passed
+def _reproduce_line(r: dict) -> str | None:
+    if r["record"] == "criterion":
+        return f"{'PASS' if r['ok'] else 'FAIL'}  {r['name']}"
+    if r["record"] == "summary":
+        return f"{'ok' if r['ok'] else 'FAILED'}: {r['passed']}/{r['criteria']} criteria"
+    if r.get("table") == "estimates":
+        return _estimate_row(r)
+    return None
 
 
 def _cmd_reproduce(args, out: Output) -> int:
-    ok = reproduce_all(args.out, seed=args.seed, constant=args.constant,
-                       emit=out.emit)
-    return 0 if ok else 1
+    records = reproduce.run(seed=args.seed, constant=args.constant)
+    for record in records:
+        out.emit(record, _reproduce_line(record))
+    out_path = Path(args.out)
+    out_path.mkdir(parents=True, exist_ok=True)
+    (out_path / "report.jsonl").write_text("".join(_record_line(r) + "\n" for r in records))
+    return 0 if records[-1]["ok"] else 1
 
 
 # ------------------------------------------------------------- registry

@@ -75,6 +75,19 @@ class Estimate:
     log2_bound: float
     log2_target: float
 
+    def as_record(self, flagged: bool = False) -> dict:
+        """Plain-data form shared by every report of an estimate; `flagged`
+        marks a row computed with non-default constants."""
+        record = {
+            "model": self.model, "constant": self.constant, "mode": self.mode,
+            "q": self.q, "gates": self.gates,
+            "gates_display": display_rounded(self.gates),
+            "log2_bound": self.log2_bound, "log2_target": self.log2_target,
+        }
+        if flagged:
+            record["non_default_constants"] = True
+        return record
+
 
 def gate_count(model: str, q: int) -> int:
     """Circuit elements at q qubits/photons: diagonal gates for the

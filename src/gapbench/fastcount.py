@@ -14,9 +14,10 @@ long as 2^l exceeds the block size 2^t.
 Multilinear polynomials mod 2^l are represented densely by coefficient
 arrays indexed by variable-subset mask; the subset-sum (zeta) transform
 converts to value tables and its inverse (Moebius) converts back, so
-products are pointwise in the value domain and automatically reduced by
-x^2 = x.  All arithmetic lives in uint64: 2^l divides 2^64, so wrapping
-multiplication and addition are exact mod 2^l after masking.
+the amplifier's powers of F are taken pointwise in the value domain,
+where x^2 = x holds by itself.  All arithmetic lives in uint64: 2^l
+divides 2^64, so wrapping multiplication and addition are exact mod 2^l
+after masking.
 
 F itself is built the same way for each block: the terms that survive
 the setting a are counted by their fixed-variable mask, and the zeta
@@ -64,39 +65,11 @@ class MultilinearPoly:
     def mask(self) -> int:
         return (1 << self.l) - 1
 
-    def coefficients(self) -> dict[int, int]:
-        """Sparse view: nonzero coefficients keyed by variable mask."""
-        (keys,) = np.nonzero(self.coeffs)
-        return {int(k): int(self.coeffs[k]) for k in keys}
-
     def degree(self) -> int:
         (keys,) = np.nonzero(self.coeffs)
         if len(keys) == 0:
             return 0
         return int(np.bitwise_count(keys.astype(np.uint64)).max())
-
-    def evaluate(self, y: int) -> int:
-        """Value at one Boolean point, summing coefficients of submasks."""
-        total = 0
-        (keys,) = np.nonzero(self.coeffs)
-        for k in keys:
-            if int(k) & ~y == 0:
-                total += int(self.coeffs[k])
-        return total & self.mask
-
-
-def constant(m: int, l: int, value: int) -> MultilinearPoly:
-    coeffs = np.zeros(1 << m, dtype=np.uint64)
-    coeffs[0] = value & ((1 << l) - 1)
-    return MultilinearPoly(m=m, l=l, coeffs=coeffs)
-
-
-def monomial(m: int, l: int, var_mask: int, value: int = 1) -> MultilinearPoly:
-    if not 0 <= var_mask < (1 << m):
-        raise ValueError(f"mask {var_mask} out of range for {m} variables")
-    coeffs = np.zeros(1 << m, dtype=np.uint64)
-    coeffs[var_mask] = value & ((1 << l) - 1)
-    return MultilinearPoly(m=m, l=l, coeffs=coeffs)
 
 
 def eval_all(p: MultilinearPoly) -> np.ndarray:
@@ -116,20 +89,6 @@ def from_values(m: int, l: int, values: np.ndarray) -> MultilinearPoly:
     mobius(coeffs)
     coeffs &= np.uint64((1 << l) - 1)
     return MultilinearPoly(m=m, l=l, coeffs=coeffs)
-
-
-def add(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
-    if (p.m, p.l) != (q.m, q.l):
-        raise ValueError("operands must share variable count and modulus")
-    return MultilinearPoly(m=p.m, l=p.l, coeffs=(p.coeffs + q.coeffs) & np.uint64(p.mask))
-
-
-def mul(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
-    """Multilinear product: pointwise in the value domain, then back."""
-    if (p.m, p.l) != (q.m, q.l):
-        raise ValueError("operands must share variable count and modulus")
-    table = eval_all(p) * eval_all(q)
-    return from_values(p.m, p.l, table & np.uint64(p.mask))
 
 
 # -- the counting pipeline ----------------------------------------------------
@@ -162,26 +121,6 @@ def _qhat_values(table: np.ndarray, l: int) -> np.ndarray:
         acc = acc + coeff * fpow
         fpow = fpow * table
     return (one - pw * acc) & np.uint64((1 << l) - 1)
-
-
-def qhat(f: Poly3, a, l: int) -> MultilinearPoly:
-    """Amplified indicator of f with the last variables fixed to a.
-
-    a may be an int mask or a bit sequence over the free variables; the
-    result is a polynomial over the first m = n - len(free) variables
-    whose value mod 2^l is exactly f(y, a) at every y.
-    """
-    _check_l(l)
-    if isinstance(a, (int, np.integer)):
-        raise ValueError("pass the free-variable assignment as a bit sequence")
-    bits = [int(b) & 1 for b in a]
-    t = len(bits)
-    if not 1 <= t <= f.n:
-        raise ValueError(f"free-variable count {t} out of range for n = {f.n}")
-    m = f.n - t
-    a_mask = sum(b << i for i, b in enumerate(bits))
-    table = _int_value_table(term_masks(f.terms()), a_mask, m)
-    return from_values(m, l, _qhat_values(table, l))
 
 
 def r_poly(f: Poly3, t: int, l: int | None = None) -> MultilinearPoly:
@@ -220,11 +159,6 @@ def count_ones_lptwy(f: Poly3, t: int) -> int:
     poly = r_poly(f, t)
     blocks = eval_all(poly)
     return _exact_sum(blocks, poly.l)
-
-
-def block_counts(f: Poly3, t: int) -> np.ndarray:
-    """Satisfying-assignment count of each fixed-variable block."""
-    return eval_all(r_poly(f, t))
 
 
 # -- the monomial-count budget ------------------------------------------------

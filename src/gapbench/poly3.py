@@ -136,6 +136,25 @@ def evaluate(f: Poly3, x) -> int:
     return acc
 
 
+def evaluate_points(f: Poly3, xs) -> np.ndarray:
+    """Values of f at many int bitmask assignments, as a flat 0/1 uint8 array.
+
+    Each variable's bit over all points is packed eight points to a
+    byte; each term ANDs its variables' columns into the running XOR.
+    """
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1)
+    if xs.size and not (0 <= xs.min() and xs.max() < 1 << f.n):
+        raise ValueError(f"assignments out of range for {f.n} variables")
+    cols = [np.packbits(xs & (1 << i)) for i in range(f.n)]
+    acc = np.zeros(-(-xs.size // 8), dtype=np.uint8)
+    for term in f.terms():
+        prod = cols[term[0]]
+        for i in term[1:]:
+            prod = prod & cols[i]
+        acc ^= prod
+    return np.unpackbits(acc, count=xs.size)
+
+
 def truth_table(f: Poly3) -> np.ndarray:
     """0/1 uint8 table of f on all 2^n assignments (index bit i = var i)."""
     masks = term_masks(f.terms())

@@ -13,7 +13,7 @@ from gapbench.config import CapExceeded
 from gapbench.poly3 import (
     Poly3,
     all_terms,
-    evaluate,
+    evaluate_points,
     gap_bruteforce,
     parse_poly,
     random_poly,
@@ -214,7 +214,7 @@ def test_certificate_accepts_constant():
 def test_certificate_rejects_balanced_everywhere():
     f = parse_poly("x1", 2)
     for s in combinations(range(4), 3):
-        assert not av.certificate_verify(lambda x: evaluate(f, x), 2, s)
+        assert not av.certificate_verify(lambda xs: evaluate_points(f, xs), 2, s)
 
 
 def test_certificate_validation_errors():
@@ -230,20 +230,20 @@ def test_certificate_exists_iff_unbalanced_exhaustive():
     # n = 3: search all 8-choose-5 certificates for every polynomial
     for f in enumerate_polys(3):
         exists = any(
-            av.certificate_verify(lambda x: evaluate(f, x), 3, s)
+            av.certificate_verify(lambda xs: evaluate_points(f, xs), 3, s)
             for s in combinations(range(8), 5)
         )
         assert exists == (gap_bruteforce(f) != 0)
         found = av.find_certificate(f)
         assert (found is not None) == exists
         if found is not None:
-            assert av.certificate_verify(lambda x: evaluate(f, x), 3, found)
+            assert av.certificate_verify(lambda xs: evaluate_points(f, xs), 3, found)
 
 
 def test_certificate_paper_instance():
     cert = av.find_certificate(WORKED_F)
     assert cert is not None
-    assert av.certificate_verify(lambda x: evaluate(WORKED_F, x), 3, cert)
+    assert av.certificate_verify(lambda xs: evaluate_points(WORKED_F, xs), 3, cert)
 
 
 def test_find_certificate_is_an_int64_array_in_bounded_memory():

@@ -9,10 +9,12 @@ import pytest
 import gapbench.avgcase as avgcase
 import gapbench.circuits as circuits
 import gapbench.config as config
+import gapbench.gapdist as gapdist
 import gapbench.poly3 as poly3
 import gapbench.permanents as pm
 import gapbench.statevector as statevector
-from gapbench.cli import _HANDLERS, build_parser, dispatch, main, reproduce_all
+from gapbench import reproduce
+from gapbench.cli import _HANDLERS, _record_line, build_parser, dispatch, main
 
 
 def run(capsys, *argv):
@@ -389,6 +391,32 @@ def test_harness_sampled_mode_reads_probabilities_from_gaps(capsys, monkeypatch,
     assert rec["input_decision"]["probability"] == poly3.gap_bruteforce(f) ** 2 / 4 ** 14
 
 
+@pytest.mark.parametrize("n, trials", [(8, None), (14, 12)])
+def test_decision_harness_record_is_the_clis(capsys, tmp_path, n, trials):
+    f = poly3.random_poly(n, np.random.default_rng(8))
+    argv = ["harness-a", "--poly", write_poly(tmp_path, f), "--epsilon", "0",
+            "--seed", "4", "--format", "structured"]
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    record = circuits.decision_harness(f, 0.0, trials, 4)
+    assert record["correct_fraction"] == 1.0
+    assert out == _record_line(record) + "\n"
+
+
+def test_harness_beyond_the_exhaustive_limit_needs_trials(capsys, tmp_path):
+    f = poly3.Poly3.from_terms(circuits.EXHAUSTIVE_LIMIT + 1, [(0, 1, 2)])
+    code, out, err = run(capsys, "harness-a", "--poly", write_poly(tmp_path, f),
+                         "--epsilon", "0", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --trials is required beyond 12 variables\n"
+    with pytest.raises(ValueError, match="trials are required beyond 12 variables"):
+        circuits.decision_harness(f, 0.0)
+    with pytest.raises(ValueError, match="need a seed"):
+        circuits.decision_harness(f, 0.0, trials=3)
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_harness_nonpositive_trials_is_usage_error(capsys, cubic_poly, trials):
     code, out, err = run(capsys, "harness-a", "--poly", cubic_poly, "--epsilon", "0",
@@ -506,6 +534,27 @@ def test_stats_promise_sampled_needs_seed(capsys):
     assert code == 2 and "--seed" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mode", "moments", "--n", "6", "--k", "1", "--samples", "0"),
+    ("--mode", "moments", "--n", "6", "--k", "1", "--samples", "-3"),
+    ("--mode", "moments", "--n", "6", "--k", "1", "--samples", "0",
+     "--histogram-csv", "h.csv"),
+    ("--mode", "promise", "--n", "3", "--samples", "0"),
+    ("--mode", "promise", "--n", "10", "--samples", "-3"),
+])
+def test_stats_nonpositive_samples_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking --samples")
+
+    for name in ("sampled_moment", "gap_histogram", "promise_stats"):
+        monkeypatch.setattr(gapdist, name, no_sampling)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "stats", *argv, "--seed", "1", "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == "error: --samples must be positive\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stats_subspaces(capsys):
     _, out, _ = run(capsys, "stats", "--mode", "subspaces", "--k", "4",
                     "--degree", "2", "--n", "2", "--format", "structured")
@@ -571,6 +620,22 @@ def test_avg_reduce_certificate(capsys, cubic_poly):
     assert rec["found"] is True and rec["verified"] is True
     assert rec["certificate_size"] == 5
     assert len(rec["points"]) == 5
+
+
+def test_avg_reduce_certificate_is_verified_in_one_batch(capsys, monkeypatch, tmp_path):
+    def no_point(*args, **kwargs):
+        raise AssertionError("evaluated the certificate one point at a time")
+
+    f = poly3.random_poly(14, np.random.default_rng(2))
+    assert poly3.gap_bruteforce(f) != 0
+    monkeypatch.setattr(poly3, "evaluate", no_point)
+    code, out, _ = run(capsys, "avg-reduce", "--poly", write_poly(tmp_path, f),
+                       "--seed", "0", "--certificate", "--format", "structured")
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["found"] is True and rec["verified"] is True
+    assert rec["points"] == avgcase.find_certificate(f).tolist()
+    assert len(rec["points"]) == (1 << 13) + 1
 
 
 def test_avg_reduce_certificate_obeys_the_distribution_cap(capsys, monkeypatch,
@@ -678,9 +743,12 @@ def test_reproduce_flags_non_default_constants(capsys, tmp_path):
     assert est.get("skipped") is True
 
 
-def test_reproduce_all_callable(tmp_path):
-    assert reproduce_all(str(tmp_path / "direct"), seed=11) is True
-    assert (tmp_path / "direct" / "report.jsonl").exists()
+def test_reproduce_report_is_the_library_records(capsys, tmp_path):
+    code, out, _ = run(capsys, "reproduce", "--out", str(tmp_path / "r4"),
+                       "--seed", "3", "--format", "structured")
+    assert code == 0
+    report = "".join(_record_line(r) + "\n" for r in reproduce.run(seed=3))
+    assert (tmp_path / "r4" / "report.jsonl").read_text() == report == out
 
 
 # ------------------------------------------------------- errors and config

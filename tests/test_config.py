@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gapbench"
 @pytest.mark.parametrize("env, call, message", [
     ("BRUTE_CAP=12", lambda: poly3.gap_bruteforce(poly3.Poly3(n=20)),
      "gap_bruteforce: n = 20 exceeds cap 12"),
-    ("EVAL_CAP=9", lambda: fastcount.eval_all(fastcount.constant(10, 2, 1)),
+    ("EVAL_CAP=9", lambda: fastcount.eval_all(fastcount.from_values(10, 2, np.zeros(1 << 10))),
      "eval_all: m = 10 exceeds cap 9"),
     ("SIM_CAP=6", lambda: statevector.run(statevector.Circuit(q=8)),
      "run: q = 8 exceeds cap 6"),

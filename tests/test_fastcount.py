@@ -7,8 +7,8 @@ Fixture values, recomputable by hand:
   Brute-force truth tables recompute every block in-test.
 - the amplifier at l=2 expands to 3F^2 - 2F^3, giving 0,1,0,1 mod 4 at
   F = 0,1,2,3.
-- constant/monomial value tables are direct; the empty polynomial
-  counts 0.
+- constant and single-monomial value tables are direct; the empty
+  polynomial counts 0.
 
 The full-block case (a block where every free setting satisfies f,
 count 2^t) is pinned separately: it is exactly the case the default
@@ -23,12 +23,12 @@ import pytest
 from gapbench import fastcount as fc
 from gapbench.config import CapExceeded
 from gapbench.poly3 import (
-    Poly3,
     parse_poly,
     random_poly,
     truth_table,
     zeros_count,
 )
+from gapbench.transform import term_masks
 
 WORKED_F = parse_poly("x1 + x2 + x1*x2 + x1*x2*x3", 3)
 
@@ -39,16 +39,31 @@ def brute_block_counts(f, t):
     return tt.reshape(1 << t, 1 << m).sum(axis=0)
 
 
+def single(m, l, var_mask, value):
+    """The polynomial value * x^var_mask over m variables, mod 2^l."""
+    coeffs = np.zeros(1 << m, dtype=np.uint64)
+    coeffs[var_mask] = value
+    return fc.MultilinearPoly(m=m, l=l, coeffs=coeffs)
+
+
+def qhat(f, bits, l):
+    """Amplified indicator of f with its last len(bits) variables fixed."""
+    m = f.n - len(bits)
+    a_mask = sum(b << i for i, b in enumerate(bits))
+    table = fc._int_value_table(term_masks(f.terms()), a_mask, m)
+    return fc.from_values(m, l, fc._qhat_values(table, l))
+
+
 # -- representation basics ----------------------------------------------------
 
 
 def test_constant_eval():
-    p = fc.constant(3, 4, 11)
+    p = single(3, 4, 0, 11)
     assert np.array_equal(fc.eval_all(p), np.full(8, 11))
 
 
 def test_monomial_eval_hits_supersets():
-    p = fc.monomial(3, 3, 0b101)
+    p = single(3, 3, 0b101, 1)
     vals = fc.eval_all(p)
     for y in range(8):
         assert vals[y] == (1 if (y & 0b101) == 0b101 else 0)
@@ -61,7 +76,8 @@ def test_eval_matches_pointwise():
         p = fc.MultilinearPoly(m=10, l=l, coeffs=coeffs)
         vals = fc.eval_all(p)
         for y in range(0, 1 << 10, 37):
-            assert int(vals[y]) == p.evaluate(y)
+            submasks = [k for k in range(1 << 10) if k & ~y == 0]
+            assert int(vals[y]) == int(coeffs[submasks].sum()) % (1 << l)
 
 
 def test_values_roundtrip():
@@ -69,30 +85,6 @@ def test_values_roundtrip():
     vals = rng.integers(0, 32, size=1 << 6).astype(np.uint64)
     p = fc.from_values(6, 5, vals)
     assert np.array_equal(fc.eval_all(p), vals)
-
-
-def test_product_matches_pointwise():
-    rng = np.random.default_rng(12)
-    for l in (2, 5, 11):
-        for m in (1, 4, 8):
-            mask = np.uint64((1 << l) - 1)
-            p = fc.from_values(m, l, rng.integers(0, 1 << l, size=1 << m).astype(np.uint64))
-            q = fc.from_values(m, l, rng.integers(0, 1 << l, size=1 << m).astype(np.uint64))
-            got = fc.eval_all(fc.mul(p, q))
-            want = (fc.eval_all(p) * fc.eval_all(q)) & mask
-            assert np.array_equal(got, want)
-
-
-def test_product_is_multilinear():
-    x0 = fc.monomial(2, 4, 0b01)
-    sq = fc.mul(x0, x0)
-    assert sq.coefficients() == {0b01: 1}
-
-
-def test_add_wraps_mod():
-    p = fc.constant(1, 3, 5)
-    q = fc.constant(1, 3, 6)
-    assert fc.add(p, q).coefficients() == {0: 3}
 
 
 def test_validation(monkeypatch):
@@ -104,7 +96,7 @@ def test_validation(monkeypatch):
         fc.MultilinearPoly(m=2, l=3, coeffs=np.zeros(5, dtype=np.uint64))
     monkeypatch.setenv("GAPBENCH_EVAL_CAP", "9")
     with pytest.raises(CapExceeded):
-        fc.eval_all(fc.constant(10, 2, 1))
+        fc.eval_all(single(10, 2, 0, 1))
 
 
 # -- the amplifier ------------------------------------------------------------
@@ -126,14 +118,14 @@ def test_amplifier_is_parity_for_many_moduli():
 
 def test_qhat_single_block_example():
     f = parse_poly("x1*x2*x3", 3)
-    assert fc.eval_all(fc.qhat(f, (1,), 2)).tolist() == [0, 0, 0, 1]
-    assert fc.eval_all(fc.qhat(f, (0,), 2)).tolist() == [0, 0, 0, 0]
+    assert fc.eval_all(qhat(f, (1,), 2)).tolist() == [0, 0, 0, 1]
+    assert fc.eval_all(qhat(f, (0,), 2)).tolist() == [0, 0, 0, 0]
 
 
 def test_qhat_degenerate_all_free():
     f = parse_poly("x1", 1)
-    assert fc.eval_all(fc.qhat(f, (0,), 4)).tolist() == [0]
-    assert fc.eval_all(fc.qhat(f, (1,), 4)).tolist() == [1]
+    assert fc.eval_all(qhat(f, (0,), 4)).tolist() == [0]
+    assert fc.eval_all(qhat(f, (1,), 4)).tolist() == [1]
 
 
 def test_qhat_matches_function_everywhere():
@@ -146,7 +138,7 @@ def test_qhat_matches_function_everywhere():
                 m = n - t
                 for a_mask in range(1 << t):
                     bits = [(a_mask >> i) & 1 for i in range(t)]
-                    vals = fc.eval_all(fc.qhat(f, bits, l))
+                    vals = fc.eval_all(qhat(f, bits, l))
                     block = tt[a_mask << m : (a_mask + 1) << m]
                     assert np.array_equal(vals, block.astype(np.uint64)), (n, l, t, a_mask)
 
@@ -155,15 +147,15 @@ def test_qhat_matches_function_everywhere():
 
 
 def test_paper_block_counts():
-    assert fc.block_counts(WORKED_F, 1).tolist() == [0, 2, 2, 1]
-    assert np.array_equal(fc.block_counts(WORKED_F, 1), brute_block_counts(WORKED_F, 1))
+    assert fc.eval_all(fc.r_poly(WORKED_F, 1)).tolist() == [0, 2, 2, 1]
+    assert np.array_equal(fc.eval_all(fc.r_poly(WORKED_F, 1)), brute_block_counts(WORKED_F, 1))
     assert fc.count_ones_lptwy(WORKED_F, 1) == 5
 
 
 def test_full_block_needs_wide_modulus():
     # f = x1 with x2 free: the block y=1 is satisfied by both settings
     f = parse_poly("x1", 2)
-    assert fc.block_counts(f, 1).tolist() == [0, 2]
+    assert fc.eval_all(fc.r_poly(f, 1)).tolist() == [0, 2]
     with pytest.raises(ValueError):
         fc.r_poly(f, 1, l=1)  # 2^1 block would alias to 0
 
@@ -192,7 +184,7 @@ def test_block_counts_match_brute_blocks():
     for n in (5, 8, 11):
         for t in (1, 3):
             f = random_poly(n, rng)
-            assert np.array_equal(fc.block_counts(f, t), brute_block_counts(f, t))
+            assert np.array_equal(fc.eval_all(fc.r_poly(f, t)), brute_block_counts(f, t))
 
 
 def test_free_variable_validation():
@@ -210,7 +202,7 @@ def test_degree_stays_under_budget():
     rng = np.random.default_rng(17)
     for _ in range(5):
         f = random_poly(12, rng)
-        q = fc.qhat(f, (1,), 2)
+        q = qhat(f, (1,), 2)
         assert q.m == 11
         assert q.degree() <= 6 * 2 - 3
     f = random_poly(13, rng)

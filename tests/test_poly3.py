@@ -18,6 +18,7 @@ from gapbench.poly3 import (
     all_terms,
     dumps,
     evaluate,
+    evaluate_points,
     from_json_dict,
     gap_bruteforce,
     linear_part,
@@ -122,6 +123,20 @@ class TestEvaluate:
             evaluate(f, 8)  # mask out of range
         with pytest.raises(ValueError):
             evaluate(f, (1, 0, 2))
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_points_agree_with_evaluate(self, n, seed):
+        rng = np.random.default_rng(seed)
+        f = random_poly(n, rng)
+        xs = rng.integers(0, 1 << n, size=int(rng.integers(0, 40)))
+        assert evaluate_points(f, xs).tolist() == [evaluate(f, int(x)) for x in xs]
+
+    def test_points_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range for 3 variables"):
+            evaluate_points(example_f(), [0, 8])
+        with pytest.raises(ValueError):
+            evaluate_points(example_f(), [-1])
 
 
 class TestGap:
