@@ -331,7 +331,10 @@ def _cmd_harness_a(args, out: Output) -> int:
         raise UsageError("--trials must be positive")
     if args.trials is None and f.n > circuits.EXHAUSTIVE_LIMIT:
         raise UsageError(f"--trials is required beyond {circuits.EXHAUSTIVE_LIMIT} variables")
-    record = circuits.decision_harness(f, args.epsilon, args.trials, args.seed)
+    seed = None
+    if args.trials is not None:
+        seed = _require_seed(args, "sampled mode draws class members")
+    record = circuits.decision_harness(f, args.epsilon, args.trials, seed)
     out.emit(record, f"correct {record['correct']}/{record['promise_members']} = "
                      f"{record['correct_fraction']:.4f} "
                      f"(floor {record['robustness_floor']:.4f}) "
@@ -412,6 +415,10 @@ def _cmd_reduce(args, out: Output) -> int:
 
 def _cmd_stats(args, out: Output) -> int:
     mode = args.mode
+    if mode in ("subspaces", "masspoly"):
+        for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to --mode {mode}: it is exact")
     if mode in ("moments", "promise") and args.samples is not None and args.samples <= 0:
         raise UsageError("--samples must be positive")
     if mode == "moments":
@@ -491,7 +498,6 @@ def _cmd_stats(args, out: Output) -> int:
 
 def _cmd_avg_reduce(args, out: Output) -> int:
     f = _load_poly(args.poly)
-    seed = _require_seed(args, "the reduction randomizes linear parts")
     if args.certificate:
         cert = avgcase.find_certificate(f)
         record = {"n": f.n, "certificate_size": avgcase.certificate_size(f.n),
@@ -503,6 +509,7 @@ def _cmd_avg_reduce(args, out: Output) -> int:
         out.emit(record, f"certificate {'found' if cert is not None else 'absent'} "
                          f"(size {record['certificate_size']})")
         return 0
+    seed = _require_seed(args, "the reduction randomizes linear parts")
     if args.oracle == "exact":
         oracle = avgcase.exact_oracle()
     else:
@@ -688,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one-query decision robustness over a hiding class")
     p.add_argument("--poly", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int,
                    help="sample this many class members instead of sweeping")
 
@@ -730,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="recover a gap through a randomized oracle reduction")
     p.add_argument("--poly", required=True)
     p.add_argument("--oracle", default="exact", metavar="{exact,corrupt:RATE}")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int)
     p.add_argument("--certificate", action="store_true",
                    help="find and verify an imbalance certificate instead")
 

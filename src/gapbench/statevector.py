@@ -8,6 +8,29 @@ circuit runs.
 Supported gates: h, z, cz, ccz, diag_phase (e^{i*theta} on amplitudes
 whose target bits match a pattern, up to 3 targets), xrot
 (exp(-i*beta*X) on one qubit).
+
+`run` executes the gate stream in three parts, and its final state is
+byte-identical (`tobytes()`) to applying the gates one at a time with
+the textbook formulas:
+
+* Live-prefix first H column.  From |0...0>, while the next gate is h
+  on qubit 0, 1, 2, ... in turn, only the prefix that can be nonzero
+  is transformed; every amplitude past it is +0, and (0 + 0)*s and
+  (0 - 0)*s are +0 again.  Any other gate ends the column.
+* In-place butterflies.  h computes (a + b)*s and (a - b)*s, xrot
+  c*a - (1j*s)*b and (-1j*s)*a + c*b, with the same ufuncs in the same
+  order as the formulas, written through one scratch buffer per run:
+  half a state for h, a whole one only when an xrot appears.
+* Exact sign runs.  z, cz and ccz each multiply by -1.0, which is not
+  negation on signed zeros, so consecutive sign gates only count hits
+  per amplitude.  At the end of the run (and every 255 gates) each
+  amplitude is multiplied by -1.0 r times, where r <= 3 is the
+  smallest count on the same orbit as its hit count k: amplitudes with
+  both parts zero repeat with period 3 after one step, all others with
+  period 2 after two.  diag_phase is never fused: its factors differ
+  per gate and the product order changes the rounding.
+
+`apply_gate` runs the same kernels on a one-gate stream.
 """
 
 from __future__ import annotations
@@ -78,53 +101,151 @@ def zero_state(q: int) -> np.ndarray:
     return amps
 
 
-def _pair_view(state: np.ndarray, t: int):
-    # groups amplitudes into (high, bit t, low) blocks
-    return state.reshape(-1, 2, 1 << t)
+_SIGN_KINDS = ("z", "cz", "ccz")
+_MAX_HITS = 255  # a sign run flushes before its uint8 hit counters can wrap
+_HIT_ROW = 8  # hit counters are added in contiguous rows of 2^8 (low qubits)
+
+
+def _pattern_index(q: int, targets, pattern) -> tuple:
+    # selects, in a (2,)*q view, the entries whose target bits match
+    sel: list = [slice(None)] * q
+    for t, b in zip(targets, pattern):
+        sel[q - 1 - t] = b  # axis 0 is the most significant qubit
+    return tuple(sel)
+
+
+def _pair_halves(state: np.ndarray, t: int):
+    """Views a (bit t = 0) and b (bit t = 1) of every pair, and the
+    ufunc iteration order for them.  For t <= 1 the rows hold one or two
+    amplitudes, so the views are transposed and walked in long columns."""
+    view = state.reshape(-1, 2, 1 << t)
+    a, b = view[:, 0, :], view[:, 1, :]
+    if t <= 1:
+        return a.T, b.T, "C"
+    return a, b, "K"
+
+
+def _h(state: np.ndarray, t: int, scratch: np.ndarray) -> None:
+    a, b, order = _pair_halves(state, t)
+    diff = scratch[: a.size].reshape(a.shape)
+    np.subtract(a, b, out=diff, order=order)
+    np.add(a, b, out=a, order=order)
+    np.multiply(a, _INV_SQRT2, out=a, order=order)
+    np.multiply(diff, _INV_SQRT2, out=b, order=order)
+
+
+def _xrot(state: np.ndarray, t: int, beta: float, scratch: np.ndarray) -> None:
+    a, b, order = _pair_halves(state, t)
+    u = scratch[: a.size].reshape(a.shape)
+    v = scratch[a.size : 2 * a.size].reshape(a.shape)
+    c, s = math.cos(beta), math.sin(beta)
+    np.multiply(c, a, out=u, order=order)
+    np.multiply(1j * s, b, out=v, order=order)
+    np.subtract(u, v, out=u, order=order)
+    np.multiply(-1j * s, a, out=v, order=order)
+    np.multiply(c, b, out=b, order=order)
+    np.add(v, b, out=b, order=order)
+    a[...] = u
+
+
+def _diag_phase(state: np.ndarray, q: int, gate: Gate) -> None:
+    index = _pattern_index(q, gate.targets, gate.pattern)
+    state.reshape((2,) * q)[index] *= np.exp(1j * gate.theta)
+
+
+def _count_hits(hits: np.ndarray, q: int, targets) -> None:
+    """Add 1 to the counter of every amplitude whose targets are all 1.
+
+    Targets below the row length become a 0/1 pattern added along each
+    row, so every add runs over contiguous rows of 2^8 counters."""
+    low = min(q, _HIT_ROW)
+    mask = sum(1 << t for t in targets if t < low)
+    high = [t - low for t in targets if t >= low]
+    rows = hits.reshape((2,) * (q - low) + (1 << low,))
+    rows = rows[_pattern_index(q - low, high, (1,) * len(high))]
+    np.add(rows, (np.arange(1 << low) & mask) == mask, out=rows)
+
+
+def _flush_signs(state: np.ndarray, hits: np.ndarray) -> None:
+    """Multiply each amplitude by -1.0 as often as its hit count says.
+
+    Under repeated multiplication by -1.0 an amplitude with both parts
+    zero repeats with period 3 after one step and any other amplitude
+    with period 2 after two, so k multiplications leave the same bytes
+    as r = min(k, 1 + (k - 1) % 3) or r = min(k, 2 + k % 2) of them,
+    and r <= 3."""
+    steps = np.minimum(hits, 2 + (hits & 1))
+    zero = state == 0
+    if zero.any():
+        k = hits[zero].astype(np.int16)
+        steps[zero] = np.minimum(k, 1 + (k - 1) % 3)
+    for j in (1, 2, 3):
+        np.multiply(state, -1.0, out=state, where=steps >= j)
+    hits.fill(0)
+
+
+def _check_targets(gate: Gate, q: int) -> None:
+    for t in gate.targets:
+        if not 0 <= t < q:
+            raise ValueError(f"target {t} out of range for q = {q}")
+
+
+def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
+    """Apply `gates` to `state` in place, byte for byte as one at a time.
+
+    Only the first 2^live amplitudes may be nonzero (live = 0 from
+    |0...0>, q for any state); the leading h gates on qubits live,
+    live + 1, ... act on that prefix alone.
+    """
+    kinds = {g.kind for g in gates}
+    size = 1 << q if "xrot" in kinds else 1 << (q - 1) if "h" in kinds else 0
+    scratch = np.empty(size, dtype=np.complex128)
+    hits = np.zeros(1 << q, dtype=np.uint8) if kinds.intersection(_SIGN_KINDS) else None
+    pending = 0
+    for gate in gates:
+        if gate.kind in _SIGN_KINDS:
+            live = q
+            _count_hits(hits, q, gate.targets)
+            pending += 1
+            if pending == _MAX_HITS:
+                _flush_signs(state, hits)
+                pending = 0
+            continue
+        if pending:
+            _flush_signs(state, hits)
+            pending = 0
+        t = gate.targets[0]
+        if gate.kind == "h" and t == live:
+            live += 1
+            _h(state[: 1 << live], t, scratch)
+            continue
+        live = q
+        if gate.kind == "h":
+            _h(state, t, scratch)
+        elif gate.kind == "xrot":
+            _xrot(state, t, gate.beta, scratch)
+        else:
+            _diag_phase(state, q, gate)
+    if pending:
+        _flush_signs(state, hits)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
     """Apply one gate in place and return the same array."""
     if state.shape != (1 << q,):
         raise ValueError(f"state has {state.shape[0]} amplitudes, expected 2^{q}")
-    for t in gate.targets:
-        if not 0 <= t < q:
-            raise ValueError(f"target {t} out of range for q = {q}")
-
-    if gate.kind == "h":
-        view = _pair_view(state, gate.targets[0])
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = (a + b) * _INV_SQRT2
-        view[:, 1, :] = (a - b) * _INV_SQRT2
-    elif gate.kind == "xrot":
-        view = _pair_view(state, gate.targets[0])
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        c, s = math.cos(gate.beta), math.sin(gate.beta)
-        view[:, 0, :] = c * a - 1j * s * b
-        view[:, 1, :] = -1j * s * a + c * b
-    elif gate.kind in ("z", "cz", "ccz"):
-        _scale_pattern(state, q, gate.targets, (1,) * len(gate.targets), -1.0)
-    else:  # diag_phase
-        _scale_pattern(state, q, gate.targets, gate.pattern, np.exp(1j * gate.theta))
+    _check_targets(gate, q)
+    _execute(state, q, (gate,), live=q)
     return state
-
-
-def _scale_pattern(state, q, targets, pattern, factor):
-    view = state.reshape((2,) * q)
-    sel: list = [slice(None)] * q
-    for t, b in zip(targets, pattern):
-        sel[q - 1 - t] = b  # axis 0 is the most significant qubit
-    view[tuple(sel)] *= factor
 
 
 def run(circuit: Circuit) -> np.ndarray:
     """Run the circuit from |0...0> and return the final amplitudes."""
     check("SIM_CAP", circuit.q, "run: q")
-    state = zero_state(circuit.q)
     for gate in circuit.gates:
-        apply_gate(state, gate, circuit.q)
+        _check_targets(gate, circuit.q)
+    state = zero_state(circuit.q)
+    _execute(state, circuit.q, circuit.gates, live=0)
     return state
 
 

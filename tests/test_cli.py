@@ -417,6 +417,21 @@ def test_harness_beyond_the_exhaustive_limit_needs_trials(capsys, tmp_path):
         circuits.decision_harness(f, 0.0, trials=3)
 
 
+def test_harness_exhaustive_mode_needs_no_seed(capsys, cubic_poly):
+    argv = ("harness-a", "--poly", cubic_poly, "--epsilon", "0.01", "--format", "structured")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert records(out)[0]["mode"] == "exhaustive"
+    assert run(capsys, *argv, "--seed", "3") == (0, out, "")
+
+
+def test_harness_sampled_mode_requires_seed(capsys, cubic_poly):
+    code, out, err = run(capsys, "harness-a", "--poly", cubic_poly, "--epsilon", "0",
+                         "--trials", "3", "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed is required: sampled mode draws class members\n"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_harness_nonpositive_trials_is_usage_error(capsys, cubic_poly, trials):
     code, out, err = run(capsys, "harness-a", "--poly", cubic_poly, "--epsilon", "0",
@@ -575,6 +590,15 @@ def test_stats_masspoly(capsys):
     assert len(rec["c"]) == 16 and rec["c"][0] == 1.0
 
 
+@pytest.mark.parametrize("mode, extra", [("subspaces", ("--k", "4")), ("masspoly", ())])
+@pytest.mark.parametrize("flag, value", [("--samples", "10"), ("--seed", "1")])
+def test_stats_exact_modes_refuse_sampling_flags(capsys, mode, extra, flag, value):
+    code, out, err = run(capsys, "stats", "--mode", mode, *extra, flag, value,
+                         "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} does not apply to --mode {mode}: it is exact\n"
+
+
 # -------------------------------------------------------------- avg-reduce
 
 
@@ -608,8 +632,17 @@ def test_avg_reduce_rate_fraction_syntax(capsys, paper_poly):
 
 
 def test_avg_reduce_requires_seed(capsys, paper_poly):
-    code, _, _ = run(capsys, "avg-reduce", "--poly", paper_poly)
-    assert code == 2
+    code, out, err = run(capsys, "avg-reduce", "--poly", paper_poly)
+    assert (code, out) == (2, "")
+    assert err == "error: --seed is required: the reduction randomizes linear parts\n"
+
+
+def test_avg_reduce_certificate_needs_no_seed(capsys, cubic_poly):
+    argv = ("avg-reduce", "--poly", cubic_poly, "--certificate", "--format", "structured")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert records(out)[0]["verified"] is True
+    assert run(capsys, *argv, "--seed", "0") == (0, out, "")
 
 
 def test_avg_reduce_certificate(capsys, cubic_poly):

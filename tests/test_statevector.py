@@ -1,15 +1,19 @@
-"""Simulator tests against a dense kron-product oracle."""
+"""Simulator tests against a dense kron-product oracle and, byte for
+byte, against the per-gate formulas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from gapbench import circuits, poly3
 from gapbench.config import CapExceeded
 from gapbench.statevector import (
     Circuit,
     Gate,
+    _flush_signs,
     amplitude,
     apply_gate,
     circuit_dumps,
@@ -89,6 +93,15 @@ class TestGateValidation:
     def test_circuit_target_range(self):
         with pytest.raises(ValueError):
             Circuit(q=2, gates=[Gate("h", (2,))])
+
+    @pytest.mark.parametrize("late", [Gate("h", (2,)), Gate("cz", (0, 2)),
+                                      Gate("ccz", (0, 1, -1)), Gate("xrot", (5,), beta=1.0)])
+    def test_run_refuses_a_target_appended_out_of_range(self, late):
+        c = Circuit(q=2, gates=[Gate("h", (0,)), Gate("z", (1,))])
+        c.gates.append(late)
+        bad = next(t for t in late.targets if not 0 <= t < 2)
+        with pytest.raises(ValueError, match=rf"^target {bad} out of range for q = 2$"):
+            run(c)
 
 
 class TestSingleGates:
@@ -218,3 +231,150 @@ class TestCapsAndSerialization:
         out1 = run(c)
         out2 = run(c2)
         assert np.array_equal(out1, out2)
+
+
+# -- byte identity with the per-gate formulas ---------------------------------
+
+
+def reference_run(circuit: Circuit) -> np.ndarray:
+    """The textbook fold: each gate on its own, through fresh temporaries."""
+    q = circuit.q
+    state = np.zeros(1 << q, dtype=np.complex128)
+    state[0] = 1.0
+    for gate in circuit.gates:
+        if gate.kind in ("h", "xrot"):
+            view = state.reshape(-1, 2, 1 << gate.targets[0])
+            a = view[:, 0, :].copy()
+            b = view[:, 1, :]
+            if gate.kind == "h":
+                view[:, 0, :] = (a + b) * (1.0 / math.sqrt(2.0))
+                view[:, 1, :] = (a - b) * (1.0 / math.sqrt(2.0))
+            else:
+                c, s = math.cos(gate.beta), math.sin(gate.beta)
+                view[:, 0, :] = c * a - 1j * s * b
+                view[:, 1, :] = -1j * s * a + c * b
+            continue
+        if gate.kind == "diag_phase":
+            pattern, factor = gate.pattern, np.exp(1j * gate.theta)
+        else:
+            pattern, factor = (1,) * len(gate.targets), -1.0
+        sel: list = [slice(None)] * q
+        for t, bit in zip(gate.targets, pattern):
+            sel[q - 1 - t] = bit
+        state.reshape((2,) * q)[tuple(sel)] *= factor
+    return state
+
+
+def assert_same_bytes(circuit: Circuit):
+    want = reference_run(circuit).tobytes()
+    assert run(circuit).tobytes() == want
+    state = zero_state(circuit.q)
+    for gate in circuit.gates:
+        apply_gate(state, gate, circuit.q)
+    assert state.tobytes() == want
+
+
+SIGNS = ("z", "cz", "ccz")
+
+
+def sign_gate(rng, q):
+    k = int(rng.integers(1, min(3, q) + 1))
+    targets = tuple(int(i) for i in rng.choice(q, size=k, replace=False))
+    return Gate(SIGNS[k - 1], targets)
+
+
+class TestByteIdentity:
+    def test_h_z_z_keeps_the_signed_zero(self):
+        # (-1+0j) * (-1+0j) * x is not x on signed zeros: parity cancellation
+        # would print 0.0 here, negation -0.0 for H.Z
+        hzz = Circuit(q=1, gates=[Gate("h", (0,)), Gate("z", (0,)), Gate("z", (0,))])
+        assert np.signbit(run(hzz)[1].imag)
+        assert_same_bytes(hzz)
+        hz = Circuit(q=1, gates=[Gate("h", (0,)), Gate("z", (0,))])
+        assert not np.signbit(run(hz)[1].imag)
+        assert_same_bytes(hz)
+
+    def test_random_circuits(self):
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            q = int(rng.integers(1, 8))
+            assert_same_bytes(Circuit(q=q, gates=[random_gate(rng, q) for _ in range(30)]))
+
+    @pytest.mark.parametrize("lead", [[0, 1, 2, 3, 4, 5], [0, 1, 2], [1, 0, 2, 3],
+                                      [0, 2, 1], [0, 0, 1], [3, 2, 1, 0], []])
+    def test_partial_and_out_of_order_first_columns(self, lead):
+        rng = np.random.default_rng(37 + len(lead))
+        q = 6
+        for _ in range(10):
+            head = [Gate("h", (t,)) for t in lead]
+            body = [random_gate(rng, q) for _ in range(25)]
+            assert_same_bytes(Circuit(q=q, gates=head + body))
+            # any other gate inside the column ends it, a deferred sign gate too
+            for other in (sign_gate(rng, q), random_gate(rng, q)):
+                split = int(rng.integers(len(lead) + 1))
+                gates = head[:split] + [other] + head[split:] + body
+                assert_same_bytes(Circuit(q=q, gates=gates))
+
+    def test_circuits_without_h_keep_their_exact_zeros(self):
+        rng = np.random.default_rng(41)
+        for q in (1, 2, 4, 7):
+            for _ in range(8):
+                gates = [g for g in (random_gate(rng, q) for _ in range(40)) if g.kind != "h"]
+                assert_same_bytes(Circuit(q=q, gates=gates))
+                assert_same_bytes(Circuit(q=q, gates=[sign_gate(rng, q) for _ in range(9)]))
+
+    @pytest.mark.parametrize("length", [254, 255, 256, 600])
+    def test_sign_runs_longer_than_the_hit_counter(self, length):
+        rng = np.random.default_rng(43 + length)
+        for q in (3, 9):
+            xrot = Gate("xrot", (q - 1,), beta=1.1)
+            head = [Gate("h", (t,)) for t in range(q - 1)] + [xrot]
+            body = [sign_gate(rng, q) for _ in range(length)]
+            tail = [Gate("h", (t,)) for t in range(q)]
+            assert_same_bytes(Circuit(q=q, gates=head + body + tail))
+            # from |0...0> every amplitude but one stays a signed zero, whose
+            # sign shows how many flips it took (period 3)
+            assert_same_bytes(Circuit(q=q, gates=body))
+
+    def test_paper_circuits(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 5, 8):
+            f = poly3.random_poly(n, rng)
+            assert_same_bytes(circuits.build_iqp(f))
+            assert_same_bytes(circuits.build_iqp(poly3.strip_linear(f)))
+            assert_same_bytes(circuits.qaoa_to_circuit(circuits.build_qaoa(f)))
+
+    def test_sign_orbits(self):
+        # all 100 pairs of parts from {+-0, +-0.7, +-5e-324, +-inf, +-nan}
+        parts = [0.0, -0.0, 0.7, -0.7, 5e-324, -5e-324, math.inf, -math.inf,
+                 math.nan, -math.nan]
+        classes = np.array([complex(re, im) for re in parts for im in parts])
+        with np.errstate(invalid="ignore"):
+            for k in range(41):
+                want = classes.copy()
+                for _ in range(k):
+                    want *= -1.0
+                got = classes.copy()
+                _flush_signs(got, np.full(got.shape, k, dtype=np.uint8))
+                assert got.tobytes() == want.tobytes(), k
+
+
+class TestMemory:
+    # numpy's buffered iteration over 2-D strided operands holds up to
+    # three 128 KiB buffers at once whatever the state size, which at
+    # q = 14 (a 256 KiB state) alone is 1.5 states; at q = 18 it is
+    # under a tenth of one
+    @pytest.mark.parametrize("build", ["iqp", "qaoa"])
+    def test_run_peak_stays_within_two_and_a_quarter_states(self, build):
+        f = poly3.random_poly(18 if build == "iqp" else 9, np.random.default_rng(53))
+        if build == "iqp":
+            circuit = circuits.build_iqp(f)
+        else:
+            circuit = circuits.qaoa_to_circuit(circuits.build_qaoa(f))
+        tracemalloc.start()
+        try:
+            run(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * (16 << 18)
