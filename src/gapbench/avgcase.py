@@ -2,7 +2,8 @@
 
 A worst-case-to-quasi-average-case recursion (an oracle answering gap
 queries on random linear-part shifts of a fixed polynomial pins down the
-worst-case gap in n calls), the certificate verifier for unbalanced
+worst-case gap in n calls; the oracle here is the brute-force gap,
+optionally corrupted on a random fraction of calls), the certificate verifier for unbalanced
 polynomials, and exact log-domain acceptance probabilities for the
 collision-style query test with its threshold constants.
 """
@@ -29,23 +30,22 @@ from .poly3 import (
 
 @dataclass
 class GapOracle:
-    """A gap evaluator, exact or corrupted.
+    """The brute-force gap, exact or corrupted.
 
-    The corrupted flavor answers gap+2 on an independent rho fraction of
-    calls (fresh randomness per call, not a fixed bad-instance set: the
-    testable proxy for an adversary wrong on a rho fraction of each class).
+    With a generator the oracle is corrupted: it answers gap+2 on an
+    independent rho fraction of calls (fresh randomness per call, not a
+    fixed bad-instance set: the testable proxy for an adversary wrong on
+    a rho fraction of each class).
     """
 
-    kind: str
     rho: float
-    _fn: Callable[[Poly3], int]
     _rng: np.random.Generator | None = None
     calls: int = 0
     corrupted_calls: int = 0
 
     def query(self, f: Poly3) -> int:
         self.calls += 1
-        value = self._fn(f)
+        value = gap_bruteforce(f)
         if self._rng is not None and self._rng.random() < self.rho:
             self.corrupted_calls += 1
             return value + 2
@@ -53,14 +53,13 @@ class GapOracle:
 
 
 def exact_oracle() -> GapOracle:
-    return GapOracle(kind="exact", rho=0.0, _fn=gap_bruteforce)
+    return GapOracle(rho=0.0)
 
 
 def make_corrupt_oracle(rho: float, seed: int) -> GapOracle:
     if not 0 <= rho <= 1:
         raise ValueError("rho must be a probability")
-    return GapOracle(kind="corrupt", rho=rho, _fn=gap_bruteforce,
-                     _rng=np.random.default_rng(seed))
+    return GapOracle(rho=rho, _rng=np.random.default_rng(seed))
 
 
 def randomize_linear(f: Poly3, rng: np.random.Generator) -> Poly3:

@@ -9,17 +9,19 @@ Two encodings are built here.
   moves that amplitude to the basis state indexed by the linear-part
   mask (the output distribution "hides" gap(f) at index delta).
 
-* Constraint ("QAOA") form on 2n qubits with fixed angles gamma = pi/2,
-  beta = pi/4.  Each monomial becomes two copies of an all-ones pattern
-  constraint; each original qubit contributes one |1><1| constraint and
-  a four-constraint gadget against its ancilla that reconstructs the
-  closing H column.  The all-zeros acceptance probability is then
+* Constraint ("QAOA") form on 2n qubits with the fixed angles
+  GAMMA = pi/2, BETA = pi/4.  Each monomial becomes two copies of an
+  all-ones pattern constraint; each original qubit contributes one
+  |1><1| constraint and a four-constraint gadget against its ancilla
+  that reconstructs the closing H column.  The all-zeros acceptance probability is then
   proportional to gap(f)^2 (the measured ratio is 8^-n).
 
 The module also houses the threshold classifier for the squared-gap
-promise problem, the query algorithm that decides it from output
-probabilities of the hiding circuit, and the harness that measures that
-algorithm's robustness over a hiding class under a perturbation budget.
+promise problem, the query algorithm that decides it from one output
+probability of the hiding circuit, and the harness that measures that
+algorithm's robustness over a hiding class under a perturbation budget:
+the harness fills one table of (possibly perturbed) probabilities keyed
+by linear shift and hands each member's entry to the algorithm.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class Constraint:
 
 @dataclass(frozen=True)
 class QaoaSpec:
-    """2n-qubit constraint program with fixed angles.
+    """2n-qubit constraint program, run at the fixed angles GAMMA and BETA.
 
     Qubits 0..n-1 carry the polynomial variables, n..2n-1 are the
     gadget ancillas.  Acceptance is the all-zeros outcome.
@@ -109,8 +111,6 @@ class QaoaSpec:
 
     q: int
     constraints: tuple[Constraint, ...]
-    gamma: float = GAMMA
-    beta: float = BETA
 
     @property
     def constraint_count(self) -> int:
@@ -137,18 +137,18 @@ def build_qaoa(f: Poly3) -> QaoaSpec:
 
 
 def qaoa_to_circuit(spec: QaoaSpec) -> Circuit:
-    """H column, e^{-i*gamma*C} as diagonal phases, then exp(-i*beta*X) column."""
+    """H column, e^{-i*GAMMA*C} as diagonal phases, then exp(-i*BETA*X) column."""
     gates = [Gate("h", (t,)) for t in range(spec.q)]
     for c in spec.constraints:
         gates.append(
             Gate(
                 "diag_phase",
                 c.targets,
-                theta=-spec.gamma * c.multiplicity,
+                theta=-GAMMA * c.multiplicity,
                 pattern=c.pattern,
             )
         )
-    gates += [Gate("xrot", (t,), beta=spec.beta) for t in range(spec.q)]
+    gates += [Gate("xrot", (t,), beta=BETA) for t in range(spec.q)]
     return Circuit(q=spec.q, gates=gates)
 
 
@@ -220,36 +220,21 @@ class QueryDecision:
     probability: float
 
 
-def algorithm_a(f: Poly3, prob_fn) -> QueryDecision:
-    """Decide the squared-gap promise from one output probability.
+def algorithm_a(p: float, n: int) -> QueryDecision:
+    """Decide the squared-gap promise on n variables from one probability.
 
-    `prob_fn(fbar, delta)` must return the probability that the hiding
-    circuit for fbar outputs the basis state delta.  Accepts at or above
-    5/6 of the YES threshold, rejects at or below 2/3 of it; the open
-    band in between is reported as a flagged rejection.
+    `p` is the probability that the hiding circuit for fbar outputs the
+    basis state delta, where f = fbar + delta.x is the instance.  Accepts
+    at or above 5/6 of the YES threshold, rejects at or below 2/3 of it;
+    the open band in between is reported as a flagged rejection.
     """
-    thr = SgapThresholds.for_n(f.n)
-    p = float(prob_fn(strip_linear(f), linear_part(f)))
+    thr = SgapThresholds.for_n(n)
+    p = float(p)
     if p >= thr.accept:
         return QueryDecision(accept=True, indeterminate=False, probability=p)
     if p <= thr.reject:
         return QueryDecision(accept=False, indeterminate=False, probability=p)
     return QueryDecision(accept=False, indeterminate=True, probability=p)
-
-
-class ExactProvider:
-    """Probability provider backed by the simulator, cached per fbar."""
-
-    def __init__(self):
-        self._cache: dict[Poly3, np.ndarray] = {}
-
-    def distribution(self, fbar: Poly3) -> np.ndarray:
-        if fbar not in self._cache:
-            self._cache[fbar] = class_distribution(fbar)
-        return self._cache[fbar]
-
-    def __call__(self, fbar: Poly3, delta: int) -> float:
-        return float(self.distribution(fbar)[delta])
 
 
 def greedy_adversary(exact: dict[int, float], labels: dict[int, str], n: int,
@@ -332,14 +317,15 @@ def decision_harness(f: Poly3, eps: float, trials: int | None = None,
                      seed: int | None = None) -> dict:
     """Robustness of `algorithm_a` over the hiding class of f.
 
-    Without `trials`, every member of the class is decided (at most
-    EXHAUSTIVE_LIMIT variables) against the exact class distribution as
-    perturbed by `greedy_adversary` with total budget eps.  With
-    `trials`, that many members are drawn with `seed` and each
-    probability, read as gap^2/4^n, is pushed its fair share eps/2^n
-    toward the wrong side.  A NO member left in the indeterminate band
-    counts as an error.  Returns the sweep's record: the correct fraction
-    against the 1 - 60 eps floor, and the decision on f itself.
+    Each member fbar + delta.x is decided from the entry delta of one
+    probability table.  Without `trials`, every member of the class is
+    decided (at most EXHAUSTIVE_LIMIT variables) and the table is the
+    exact class distribution as perturbed by `greedy_adversary` with
+    total budget eps.  With `trials`, that many members are drawn with
+    `seed` and each entry, read as gap^2/4^n, is pushed its fair share
+    eps/2^n toward the wrong side.  A NO member left in the indeterminate
+    band counts as an error.  Returns the sweep's record: the correct
+    fraction against the 1 - 60 eps floor, and the decision on f itself.
     """
     if trials is None and f.n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"trials are required beyond {EXHAUSTIVE_LIMIT} variables")
@@ -355,13 +341,9 @@ def decision_harness(f: Poly3, eps: float, trials: int | None = None,
     if exhaustive:
         deltas = list(range(1 << f.n))
         # one simulation serves every member's probability
-        provider = ExactProvider()
-        exact = {d: provider(fbar, d) for d in deltas}
+        exact = dict(enumerate(class_distribution(fbar).tolist()))
         labels = {d: classify_from_gap(gap_at(d), f.n) for d in deltas}
-        view, spent, flipped = greedy_adversary(exact, labels, f.n, eps)
-
-        def perturbed(fb: Poly3, delta: int) -> float:
-            return view[delta]
+        probs, spent, flipped = greedy_adversary(exact, labels, f.n, eps)
     else:
         rng = np.random.default_rng(seed)
         deltas = [int(d) for d in rng.integers(0, 1 << f.n, size=trials)]
@@ -372,21 +354,21 @@ def decision_harness(f: Poly3, eps: float, trials: int | None = None,
         # what a large n rules out; commit each member's fair share of the
         # budget toward the wrong side instead
         share = eps / float(1 << f.n)
-
-        def perturbed(fb: Poly3, delta: int) -> float:
-            p = gaps[delta] ** 2 / 4 ** f.n
-            if labels[delta] == "YES":
-                return max(p - share, 0.0)
-            if labels[delta] == "NO":
-                return min(p + share, 1.0)
-            return p
+        probs = {}
+        for d, g in gaps.items():
+            p = g ** 2 / 4 ** f.n
+            if labels[d] == "YES":
+                p = max(p - share, 0.0)
+            elif labels[d] == "NO":
+                p = min(p + share, 1.0)
+            probs[d] = p
 
     promise = correct = 0
     for delta in deltas:
         label = labels[delta]
-        decision = algorithm_a(with_linear(fbar, delta), perturbed)
         if label == "NONPROMISE":
             continue
+        decision = algorithm_a(probs[delta], f.n)
         promise += 1
         if label == "YES":
             correct += decision.accept
@@ -407,11 +389,11 @@ def decision_harness(f: Poly3, eps: float, trials: int | None = None,
         # how far the adversary's view sits from the exact class
         # distribution, once renormalized back to unit mass
         exact_arr = np.array([exact[d] for d in deltas])
-        seen = np.array([view[d] for d in deltas])
+        seen = np.array([probs[d] for d in deltas])
         err = distribution_error(seen / seen.sum(), exact_arr)
         record["perturbation"] = {"additive": err.additive,
                                   "multiplicative": err.multiplicative}
-    own = algorithm_a(f, perturbed)
+    own = algorithm_a(probs[linear_part(f)], f.n)
     record["input_decision"] = {"accept": own.accept, "indeterminate": own.indeterminate,
                                 "probability": own.probability}
     return record

@@ -297,7 +297,7 @@ def _cmd_qaoa(args, out: Output) -> int:
     f = _load_poly(args.poly)
     spec = circuits.build_qaoa(f)
     record = {"n": f.n, "qubits": spec.q, "constraints": spec.constraint_count,
-              "gamma": spec.gamma, "beta": spec.beta}
+              "gamma": circuits.GAMMA, "beta": circuits.BETA}
     human = f"qubits = {spec.q}, constraints = {spec.constraint_count}"
     if args.emit_circuit:
         circ = circuits.qaoa_to_circuit(spec)
@@ -415,6 +415,8 @@ def _cmd_reduce(args, out: Output) -> int:
 
 def _cmd_stats(args, out: Output) -> int:
     mode = args.mode
+    if args.histogram_csv and mode != "moments":
+        raise UsageError(f"--histogram-csv does not apply to --mode {mode}")
     if mode in ("subspaces", "masspoly"):
         for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
             if value is not None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .poly3 import max_terms
+
 MODELS = ("iqp-mult", "qaoa-mult", "boson-mult", "iqp-add", "qaoa-add")
 
 # multiplicative-error models carry the exact-computation constant,
@@ -89,33 +91,36 @@ class Estimate:
         return record
 
 
-def gate_count(model: str, q: int) -> int:
-    """Circuit elements at q qubits/photons: diagonal gates for the
-    hypercube family, constraints for the two-copy encoding (q = 2n),
-    beam splitters plus phase shifters for the optical network."""
-    fam = _family(model)
-    if fam == "qaoa":
+def _variables(model: str, q: int) -> int:
+    """Polynomial variables (or photons) behind size q: q itself, or n
+    for the two-copy encoding, which uses q = 2n qubits."""
+    if _family(model) == "qaoa":
         if q < 2 or q % 2:
             raise ValueError("the constraint encoding uses q = 2n qubits; q must be even")
-        n = q // 2
-        return (n**3 + 20 * n) // 3
+        return q // 2
     if q < 1:
         raise ValueError("q must be positive")
+    return q
+
+
+def gate_count(model: str, q: int) -> int:
+    """Circuit elements at q qubits/photons for the dense cubic: one
+    diagonal gate per monomial for the hypercube family, two constraints
+    per monomial and five per variable for the two-copy encoding (what
+    `circuits.build_qaoa` emits), beam splitters plus phase shifters for
+    the optical network."""
+    fam = _family(model)
+    n = _variables(model, q)
+    if fam == "qaoa":
+        return 2 * max_terms(n) + 5 * n
     if fam == "iqp":
-        return (q**3 + 5 * q) // 6
+        return max_terms(n)
     return 2 * q * q + q
 
 
 def log2_bound(model: str, constant: float, q: int) -> float:
     """log2 of the conjectured minimum operations to simulate size q."""
-    fam = _family(model)
-    if fam == "qaoa":
-        if q < 2 or q % 2:
-            raise ValueError("the constraint encoding uses q = 2n qubits; q must be even")
-        return constant * q / 2 - 1
-    if q < 1:
-        raise ValueError("q must be positive")
-    return constant * q - 1
+    return constant * _variables(model, q) - 1
 
 
 def _minimal_q(model: str, constant: float, target: float, mode: str,

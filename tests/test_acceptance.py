@@ -248,7 +248,15 @@ def test_criterion_13_tiny_threshold_acceptance():
 
 
 def test_criterion_14_algorithm_a_robustness():
-    prov = ci.ExactProvider()
+    dists = {}
+
+    def exact_probability(f):
+        # one class distribution per stripped core serves its whole class
+        fbar = p3.strip_linear(f)
+        if fbar not in dists:
+            dists[fbar] = ci.class_distribution(fbar)
+        return dists[fbar][p3.linear_part(f)]
+
     checked = 0
     for n in range(1, 5):
         terms = p3.all_terms(n)
@@ -258,7 +266,7 @@ def test_criterion_14_algorithm_a_robustness():
             label = ci.classify_from_gap(p3.gap_bruteforce(f), n)
             if label == "NONPROMISE":
                 continue
-            decision = ci.algorithm_a(f, prov)
+            decision = ci.algorithm_a(exact_probability(f), n)
             assert decision.accept == (label == "YES")
             checked += 1
     rng = np.random.default_rng(140)
@@ -271,7 +279,7 @@ def test_criterion_14_algorithm_a_robustness():
             label = ci.classify_from_gap(p3.gap_bruteforce(f), n)
             if label == "NONPROMISE":
                 continue
-            decision = ci.algorithm_a(f, prov)
+            decision = ci.algorithm_a(exact_probability(f), n)
             assert decision.accept == (label == "YES")
             tested += 1
         assert tested == 300
@@ -299,8 +307,7 @@ def test_criterion_14_algorithm_a_robustness():
             if label == "NONPROMISE":
                 continue
             members += 1
-            f = p3.with_linear(fbar, delta)
-            decision = ci.algorithm_a(f, lambda fb, d: perturbed[d])
+            decision = ci.algorithm_a(perturbed[delta], n)
             if label == "YES":
                 correct += decision.accept
             else:

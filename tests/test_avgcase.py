@@ -44,7 +44,7 @@ class FixedBits:
 
 def test_exact_oracle_counts_calls():
     o = av.exact_oracle()
-    assert o.kind == "exact"
+    assert o.rho == 0.0
     assert o.query(WORKED_F) == -2
     assert o.query(WORKED_F) == -2
     assert o.calls == 2

@@ -15,7 +15,6 @@ from gapbench.circuits import (
     GAMMA,
     Constraint,
     DistributionError,
-    ExactProvider,
     QaoaSpec,
     SgapThresholds,
     algorithm_a,
@@ -118,8 +117,7 @@ class TestQaoaForm:
             assert spec.q == 2 * n
 
     def test_angles_fixed(self):
-        spec = build_qaoa(Poly3(n=1))
-        assert spec.gamma == math.pi / 2 and spec.beta == math.pi / 4
+        assert GAMMA == math.pi / 2 and BETA == math.pi / 4
 
     def test_acceptance_ratio_n1(self):
         # ratio acceptance/gap^2 pinned by simulation: 1/8 at n = 1
@@ -269,29 +267,32 @@ class TestSingleHomeThresholdRule:
             assert rep.nonpromise_fraction == Fraction(labels.count("NONPROMISE"), total)
 
 
+def exact_probability(f):
+    """Output probability of the hiding circuit for f's stripped core at
+    f's linear-part index."""
+    return class_distribution(strip_linear(f))[linear_part(f)]
+
+
 class TestQueryAlgorithm:
-    def test_exact_provider_decides_all_promise_instances(self):
-        provider = ExactProvider()
+    def test_exact_probabilities_decide_all_promise_instances(self):
         for n in (1, 2, 3):
             for f in every_poly(n):
                 label = sgap_classify(f)
-                decision = algorithm_a(f, provider)
+                decision = algorithm_a(exact_probability(f), n)
                 if label == "YES":
                     assert decision.accept and not decision.indeterminate
                 elif label == "NO":
                     assert not decision.accept and not decision.indeterminate
 
     def test_indeterminate_band_flags(self):
-        f = parse_poly("x1", 2)
         thr = SgapThresholds.for_n(2)
         mid = (thr.accept + thr.reject) / 2
-        decision = algorithm_a(f, lambda fbar, delta: float(mid))
+        decision = algorithm_a(float(mid), 2)
         assert not decision.accept and decision.indeterminate
 
     def test_small_perturbations_do_not_flip(self):
         # margin between promise value and decision threshold is
         # 2^-n-1/6, so an epsilon below that cannot flip the answer
-        provider = ExactProvider()
         n = 4
         eps = 1 / (6 * 2 ** (n + 1)) * 0.9
         rng = np.random.default_rng(31)
@@ -301,9 +302,7 @@ class TestQueryAlgorithm:
             if label == "NONPROMISE":
                 continue
             for sign in (-1, 1):
-                decision = algorithm_a(
-                    f, lambda fbar, d: max(0.0, provider(fbar, d) + sign * eps)
-                )
+                decision = algorithm_a(max(0.0, exact_probability(f) + sign * eps), n)
                 assert decision.accept == (label == "YES")
 
 

@@ -534,6 +534,26 @@ def test_stats_histogram_csv(capsys, tmp_path):
     assert all(int(line.split(",")[0]) % 2 == 0 for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mode", "subspaces", "--k", "4"),
+    ("--mode", "masspoly"),
+    ("--mode", "promise", "--n", "3"),
+])
+def test_stats_histogram_csv_outside_moments_is_usage_error(capsys, monkeypatch,
+                                                            tmp_path, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --histogram-csv")
+
+    for name in ("count_condition_subspaces", "mass_poly", "promise_stats"):
+        monkeypatch.setattr(gapdist, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "stats", *argv, "--histogram-csv", "h.csv",
+                         "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == f"error: --histogram-csv does not apply to --mode {argv[1]}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stats_promise_exact(capsys):
     _, out, _ = run(capsys, "stats", "--mode", "promise", "--n", "4",
                     "--format", "structured")

@@ -7,6 +7,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 import gapbench.estimator as est
+from gapbench.circuits import build_iqp, build_qaoa
 from gapbench.estimator import (
     DEFAULT_CONSTANTS,
     Estimate,
@@ -19,6 +20,7 @@ from gapbench.estimator import (
     qubits_for_gate_linear,
     qubits_for_horizon,
 )
+from gapbench.poly3 import Poly3, all_terms
 
 
 # ---------------------------------------------------------------- params
@@ -75,6 +77,16 @@ def test_gate_count_small_cases():
     assert [gate_count("qaoa-add", q) for q in (2, 4, 6)] == [7, 16, 29]
     # 2q^2 + q
     assert [gate_count("boson-mult", q) for q in (1, 2, 3)] == [3, 10, 21]
+
+
+def test_gate_count_is_what_the_builders_emit():
+    # the dense cubic on n variables: one phase gate per monomial between
+    # the H columns, and build_qaoa's constraints on q = 2n qubits
+    for n in range(1, 13):
+        dense = Poly3.from_terms(n, all_terms(n))
+        phases = [g for g in build_iqp(dense).gates if g.kind != "h"]
+        assert gate_count("iqp-mult", n) == len(phases)
+        assert gate_count("qaoa-mult", 2 * n) == build_qaoa(dense).constraint_count
 
 
 def test_gate_count_integrality():
