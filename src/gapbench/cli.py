@@ -59,13 +59,13 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return [_jsonable(float(value.real)), _jsonable(float(value.imag))]
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
-        return float(value)
+        return _jsonable(float(value))
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     return value
@@ -327,6 +327,8 @@ def _cmd_harness_a(args, out: Output) -> int:
     f = _load_poly(args.poly)
     if args.epsilon < 0:
         raise UsageError("--epsilon must be nonnegative")
+    if not math.isfinite(args.epsilon):
+        raise UsageError("--epsilon must be finite")
     if args.trials is not None and args.trials <= 0:
         raise UsageError("--trials must be positive")
     if args.trials is None and f.n > circuits.EXHAUSTIVE_LIMIT:

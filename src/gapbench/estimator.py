@@ -61,8 +61,11 @@ class EstimateParams:
             object.__setattr__(self, "constant", DEFAULT_CONSTANTS[self.model])
         if not 0 < self.constant <= 1:
             raise ValueError("constant must lie in (0, 1]")
-        if self.flops <= 0 or self.horizon_seconds <= 0 or self.budget <= 0:
+        budgets = (self.flops, self.horizon_seconds, self.budget)
+        if any(v <= 0 for v in budgets):
             raise ValueError("flops, horizon, and budget must be positive")
+        if not all(math.isfinite(v) for v in budgets):
+            raise ValueError("flops, horizon, and budget must be finite")
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def conjecture_weakening(params: EstimateParams, d: float, mode: str) -> Weakeni
     equivalent to a d-fold larger operations budget (size grows by about
     log2(d)/c, or half that per qubit pair in the two-copy encoding).
     """
-    if d < 1:
+    if not d >= 1:
         raise ValueError("d must be at least 1")
     run = qubits_for_gate_linear if params.per_element else qubits_for_horizon
     base = run(params)

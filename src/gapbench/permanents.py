@@ -2,22 +2,23 @@
 
 The permanent is computed two ways: a permutation-sum reference
 (factorial cost, small sizes only) and Ryser's inclusion-exclusion over
-all 2^d column subsets.  Ryser splits the columns into a low and a high
-half and tabulates each row's sum over every subset of each half; a
-subset's row sums are then one low entry plus one high entry.
+all 2^d column subsets.  Ryser splits the columns into a low half of
+ceil(d/2) and a high half and tabulates each row's sum over every subset
+of each half; a subset's row sums are then one low entry plus one high
+entry.
 
-Integer matrices are summed exactly.  The int64 path runs only when a
-product bound certifies that no subset product can overflow, and it
-sums in slices short enough to stay exact; otherwise the computation
-escalates to a Gray-code walk in arbitrary-precision Python integers.
-The int64 path sorts rows by the halves they touch.  A row wholly in
-the low half gives a factor that does not depend on the high subset and
-is multiplied in once; a row wholly in the high half gives one scalar
-per high subset, and a high subset whose scalar is 0 contributes
-nothing and is skipped.  Only the remaining mixed rows are multiplied
-per high subset, a batch of high subsets at a time, each vector
-operation sweeping all low subsets of one row.  For a dense matrix
-every row is mixed.
+One kernel computes every Ryser permanent, in one of three number types:
+int64 when a product bound certifies that no subset product can
+overflow, summed in slices short enough to stay exact; Python integers
+(numpy object arrays) for the remaining integer matrices; and float64 or
+complex128 for real or complex input.  The kernel sorts rows by the
+halves they touch.  A row wholly in the low half gives a factor that
+does not depend on the high subset and is multiplied in once; a row
+wholly in the high half gives one scalar per high subset, and a high
+subset whose scalar is 0 contributes nothing and is skipped.  Only the
+remaining mixed rows are multiplied per high subset, a batch of high
+subsets at a time, each vector operation sweeping all low subsets of
+one row.  For a dense matrix every row is mixed.
 
 A square matrix A with ||A|| <= 1/c embeds in a unitary twice its size
 whose top-left block is cA; preparing one photon in each of the first n
@@ -80,14 +81,15 @@ def permanent_naive(a):
 def permanent_ryser(a):
     """Permanent by inclusion-exclusion over column subsets.
 
-    Exact integers for integer input (arbitrary precision if needed),
-    complex128 otherwise.  Cost 2^d products of d row sums.  An integer
-    matrix whose product bound certifies int64 is summed in int64 with
-    its rows split by the column halves they touch: rows wholly in one
-    half are factored out, and the high subsets whose high-only rows sum
-    to 0 are skipped (see the module docstring).  In the sparse matrices
-    of the cycle-cover reduction about half the rows lie in one half and
-    more than half of the high subsets are skipped.
+    Returns an exact int for integer input, a float for real input and a
+    complex otherwise.  Cost 2^d products of d row sums.  An integer
+    matrix runs in int64 when its product bound certifies that no subset
+    product overflows, and in Python integers when it does not.  Rows
+    wholly in one column half are factored out, and the high subsets
+    whose high-only rows sum to 0 are skipped (see the module docstring).
+    In the sparse matrices of the cycle-cover reduction about half the
+    rows lie in one half and more than half of the high subsets are
+    skipped.
     """
     rows = _as_square(a)
     d = rows.shape[0] if isinstance(rows, np.ndarray) else len(rows)
@@ -96,10 +98,16 @@ def permanent_ryser(a):
         return 1
     if _is_integer_matrix(rows):
         ints = [[int(v) for v in r] for r in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
-        return _ryser_int(ints)
-    mat = np.asarray(rows, dtype=np.complex128)
-    value = _ryser_complex(mat)
-    return value.real if np.isrealobj(np.asarray(a)) else value
+        # certify that every subset product fits comfortably in int64: a
+        # row's sum over any subset lies between its negative and positive sums
+        bound = math.prod(max(sum(v for v in r if v > 0), -sum(v for v in r if v < 0), 1)
+                          for r in ints)
+        dtype, run = (np.int64, (1 << 62) // bound) if bound < 1 << 62 else (object, None)
+        return int(_ryser(np.array(ints, dtype=dtype), run))
+    mat = np.asarray(rows)
+    if np.isrealobj(mat):
+        return float(_ryser(mat.astype(np.float64)))
+    return complex(_ryser(mat.astype(np.complex128)))
 
 
 def _subset_row_sums(mat: np.ndarray, cols: range) -> np.ndarray:
@@ -115,23 +123,15 @@ def _parities(count_bits: int) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(idx).astype(np.int64) & 1)
 
 
-# Each product buffer of the integer path holds at most this many bytes,
-# so the two stay in cache: 8 high subsets per batch at a 2^12 low half.
+# Each product buffer holds at most this many bytes, so the two stay in
+# cache: 8 high subsets per batch at a 2^12 low half of int64.
 _BATCH_BYTES = 1 << 18
 
 
-def _ryser_int(rows: list[list[int]]) -> int:
-    d = len(rows)
-    # certify that every subset product fits comfortably in int64
-    bound = 1
-    for r in rows:
-        pos = sum(v for v in r if v > 0)
-        neg = -sum(v for v in r if v < 0)
-        bound *= max(pos, neg, 1)
-    if bound >= 1 << 62 or d > 40:
-        return _ryser_int_bigint(rows)
-
-    mat = np.array(rows, dtype=np.int64)
+def _ryser(mat: np.ndarray, exact_run: int | None = None):
+    # Ryser's sum in the dtype of `mat`.  An int64 sum of up to `exact_run`
+    # products is exact, so int64 input is summed in runs of that length.
+    d = mat.shape[0]
     h = (d + 1) // 2
     in_low = mat[:, :h].any(axis=1)
     in_high = mat[:, h:].any(axis=1)
@@ -146,11 +146,9 @@ def _ryser_int(rows: list[list[int]]) -> int:
     high = _subset_row_sums(mat[mixed], range(h, d))
     live = np.flatnonzero(scale)
     width = 1 << h
-    batch = max(1, min(len(live), _BATCH_BYTES // (8 * width)))
-    prods = np.empty((batch, width), dtype=np.int64)
+    batch = max(1, min(len(live), _BATCH_BYTES // (mat.itemsize * width)))
+    prods = np.empty((batch, width), dtype=mat.dtype)
     row_sums = np.empty_like(prods)
-    # int64 partial sums stay exact in slices of this length
-    starts = np.arange(0, width, (1 << 62) // bound)
     total = 0
     for k in range(0, len(live), batch):
         s = live[k : k + batch]
@@ -159,56 +157,13 @@ def _ryser_int(rows: list[list[int]]) -> int:
         for i in range(len(low)):
             np.add(low[i], hs[:, i : i + 1], out=r)
             np.multiply(p, r, out=p)
-        parts = np.add.reduceat(p, starts, axis=1).tolist()
-        total += sum(c * sum(part) for c, part in zip(scale[s].tolist(), parts))
-    return total if d % 2 == 0 else -total
-
-
-def _ryser_int_bigint(rows: list[list[int]]) -> int:
-    # Gray-code walk with python integers; exact at any magnitude
-    d = len(rows)
-    cols = [[rows[i][j] for i in range(d)] for j in range(d)]
-    rs = [0] * d
-    gray = 0
-    total = 0
-    sign_base = d & 1
-    for k in range(1, 1 << d):
-        j = (k & -k).bit_length() - 1
-        if (gray >> j) & 1:
-            col = cols[j]
-            for i in range(d):
-                rs[i] -= col[i]
+        if exact_run is None:
+            sums = p.sum(axis=1)
         else:
-            col = cols[j]
-            for i in range(d):
-                rs[i] += col[i]
-        gray ^= 1 << j
-        prod = 1
-        for v in rs:
-            if v == 0:
-                prod = 0
-                break
-            prod *= v
-        if prod:
-            if (bin(gray).count("1") & 1) == sign_base:
-                total += prod
-            else:
-                total -= prod
-    return total
-
-
-def _ryser_complex(mat: np.ndarray) -> complex:
-    d = mat.shape[0]
-    h = min(d // 2, 13)  # bound the table at 2^13 rows
-    low = _subset_row_sums(mat, range(h))
-    high = _subset_row_sums(mat, range(h, d))
-    par_low = _parities(h)
-    par_high = _parities(d - h)
-    total = 0.0 + 0.0j
-    for s in range(len(high)):
-        prods = (low + high[s]).prod(axis=1)
-        total += par_high[s] * (prods * par_low).sum()
-    return complex(total if d % 2 == 0 else -total)
+            runs = np.add.reduceat(p, np.arange(0, width, exact_run), axis=1)
+            sums = runs.astype(object).sum(axis=1)
+        total += scale[s] @ sums
+    return total if d % 2 == 0 else -total
 
 
 # -- spectral helpers ---------------------------------------------------------
@@ -227,7 +182,7 @@ def herm_eig(h):
     mat = np.asarray(h, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square matrix")
-    if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
+    if not np.max(np.abs(mat - mat.conj().T)) <= _HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(mat)
 
@@ -250,7 +205,11 @@ class Dilation:
 
 def default_scale(a) -> float:
     """Default contraction factor 1/(2 max(1, ||A||))."""
-    return 1.0 / (2.0 * max(1.0, spectral_norm(a)))
+    return _scale_for_norm(spectral_norm(a))
+
+
+def _scale_for_norm(norm: float) -> float:
+    return 1.0 / (2.0 * max(1.0, norm))
 
 
 def dilate(a, c: float | None = None) -> Dilation:
@@ -263,20 +222,23 @@ def dilate(a, c: float | None = None) -> Dilation:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square matrix")
     n = mat.shape[0]
+    norm = spectral_norm(mat)
     if c is None:
-        c = default_scale(mat)
-    if c <= 0:
+        c = _scale_for_norm(norm)
+    if not c > 0:
         raise ValueError(f"scale must be positive, got {c}")
-    if c * spectral_norm(mat) >= 1.0 - 1e-12:
-        raise ValueError(
-            f"c * ||A|| = {c * spectral_norm(mat):.6f} must stay below 1"
-        )
+    if c * norm >= 1.0 - 1e-12:
+        raise ValueError(f"c * ||A|| = {c * norm:.6f} must stay below 1")
+    if not math.isfinite(c):
+        raise ValueError(f"scale must be finite, got {c}")
     ca = c * mat
     eye = np.eye(n)
     defect = eye - ca.conj().T @ ca  # I - c^2 A^dag A, positive definite
-    s = herm_apply(defect, np.sqrt)
-    s_inv = herm_apply(defect, lambda v: 1.0 / np.sqrt(v))
-    inner = eye + ca @ herm_apply(defect, lambda v: 1.0 / v) @ ca.conj().T
+    vals, vecs = herm_eig(defect)
+    vecs_h = vecs.conj().T
+    s = (vecs * np.sqrt(vals)) @ vecs_h
+    s_inv = (vecs * (1.0 / np.sqrt(vals))) @ vecs_h
+    inner = eye + ca @ ((vecs * (1.0 / vals)) @ vecs_h) @ ca.conj().T
     d_block = herm_apply(inner, lambda v: 1.0 / np.sqrt(v))
     u = np.block([[ca, d_block], [s, -s_inv @ ca.conj().T @ d_block]])
     return Dilation(unitary=u, scale=float(c), n=n)
@@ -300,7 +262,7 @@ def fock_amplitude(u, occ_in, occ_out) -> complex:
     mat = np.asarray(u, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("need a square matrix")
-    if unitarity_defect(mat) > _UNITARY_TOL:
+    if not unitarity_defect(mat) <= _UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     m = mat.shape[0]
     r_in = [int(v) for v in occ_in]

@@ -27,6 +27,16 @@ def records(out_text):
     return [json.loads(line) for line in out_text.splitlines() if line]
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_records(out_text):
+    # json.loads accepts NaN and Infinity unless told to refuse them
+    return [json.loads(line, parse_constant=refuse_constant)
+            for line in out_text.splitlines() if line]
+
+
 @pytest.fixture
 def paper_poly(tmp_path):
     f = poly3.parse_poly("x1 + x2 + x1*x2 + x1*x2*x3", 3)
@@ -440,6 +450,14 @@ def test_harness_nonpositive_trials_is_usage_error(capsys, cubic_poly, trials):
     assert err == "error: --trials must be positive\n"
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_harness_non_finite_epsilon_is_usage_error(capsys, cubic_poly, epsilon):
+    code, out, err = run(capsys, "harness-a", "--poly", cubic_poly,
+                         "--epsilon", epsilon, "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == "error: --epsilon must be finite\n"
+
+
 # --------------------------------------------------- permanents and optics
 
 
@@ -461,6 +479,44 @@ def test_permanent_complex_entry_format(capsys, tmp_path):
     value = records(out)[0]["permanent"]
     # per = (i)(-i) + (1)(1) = 2
     assert abs(value[0] - 2.0) < 1e-12 and abs(value[1]) < 1e-12
+
+
+def test_non_finite_complex_output_is_strict_json(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('[[[NaN, 0], [1, 0]], [[0, 1], [1, 0]]]')
+    code, out, _ = run(capsys, "permanent", "--matrix", str(path),
+                       "--method", "ryser", "--format", "structured")
+    assert code == 0
+    assert strict_records(out)[0]["permanent"] == ["nan", "nan"]
+    circ = tmp_path / "circ.json"
+    circ.write_text(json.dumps({"q": 1, "gates": [
+        {"kind": "h", "targets": [0]},
+        {"kind": "diag_phase", "targets": [0], "pattern": [1], "theta": float("nan")}]}))
+    code, out, _ = run(capsys, "simulate", "--circuit", str(circ), "--amplitude", "1",
+                       "--format", "structured")
+    assert code == 0
+    rec = strict_records(out)[0]
+    assert rec["amplitude"] == ["nan", "nan"] and rec["norm"] == "nan"
+
+
+def test_boson_encode_refuses_nan_scale(capsys, tmp_path):
+    mat = tmp_path / "a.json"
+    mat.write_text(json.dumps([[1, 2], [3, 4]]))
+    code, out, _ = run(capsys, "boson-encode", "--matrix", str(mat), "--scale", "nan",
+                       "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {"type": "ValueError",
+                                        "message": "scale must be positive, got nan"}
+
+
+def test_fock_amp_refuses_nan_unitary(capsys, tmp_path):
+    uni = tmp_path / "u.json"
+    uni.write_text("[[NaN, 0], [0, 1]]")
+    code, out, _ = run(capsys, "fock-amp", "--unitary", str(uni), "--in", "1,0",
+                       "--out", "1,0", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {"type": "ValueError",
+                                        "message": "matrix is not unitary within tolerance"}
 
 
 def test_boson_encode_fock_amp_pipeline(capsys, tmp_path):
@@ -749,6 +805,24 @@ def test_estimate_weakening(capsys):
     weak = next(r for r in recs if "weakening" in r)
     assert weak["weakening"]["base_q"] == 185
     assert weak["weakening"]["weakened_q"] == 370
+
+
+@pytest.mark.parametrize("argv", [("--flops", "nan"), ("--flops", "inf"),
+                                  ("--horizon-years", "nan"),
+                                  ("--per-element", "--budget", "nan")])
+def test_estimate_refuses_non_finite_budgets(capsys, argv):
+    code, out, _ = run(capsys, "estimate", "--model", "iqp-mult", *argv,
+                       "--format", "structured")
+    assert code == 1
+    assert records(out) == [{"schema": 1, "error": {
+        "type": "ValueError", "message": "flops, horizon, and budget must be finite"}}]
+
+
+def test_estimate_refuses_nan_weakening(capsys):
+    code, out, _ = run(capsys, "estimate", "--model", "iqp-mult", "--weaken", "nan",
+                       "--format", "structured")
+    assert code == 1
+    assert records(out)[-1]["error"]["message"] == "d must be at least 1"
 
 
 def test_estimate_human_table(capsys):

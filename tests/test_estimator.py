@@ -60,6 +60,13 @@ def test_params_validation():
     assert EstimateParams(model="iqp-mult", constant=1.0).constant == 1.0
 
 
+@pytest.mark.parametrize("field", ["flops", "horizon_seconds", "budget"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_refuse_non_finite_budgets(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        EstimateParams(model="iqp-mult", **{field: value})
+
+
 # ------------------------------------------------------------ gate counts
 
 
@@ -310,6 +317,8 @@ def test_weakening_validation():
         conjecture_weakening(EstimateParams(model="iqp-mult"), 0.5, "divide-constant")
     with pytest.raises(ValueError):
         conjecture_weakening(EstimateParams(model="iqp-mult"), 2, "divide-everything")
+    with pytest.raises(ValueError, match="d must be at least 1"):
+        conjecture_weakening(EstimateParams(model="iqp-mult"), math.nan, "divide-constant")
 
 
 def test_weakening_respects_per_element_mode():

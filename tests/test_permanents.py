@@ -40,6 +40,25 @@ def oracle_permanent(rows):
     return total
 
 
+def gray_ryser(rows):
+    # Ryser's sum by a Gray-code walk over column subsets in Python
+    # integers: exact at any magnitude, independent of the numpy kernel
+    d = len(rows)
+    cols = [[rows[i][j] for i in range(d)] for j in range(d)]
+    rs = [0] * d
+    gray = 0
+    total = 0
+    for k in range(1, 1 << d):
+        j = (k & -k).bit_length() - 1
+        step = -1 if (gray >> j) & 1 else 1
+        gray ^= 1 << j
+        for i in range(d):
+            rs[i] += step * cols[j][i]
+        prod = math.prod(rs)
+        total += prod if bin(gray).count("1") % 2 == d % 2 else -prod
+    return total
+
+
 # -- permanent values ---------------------------------------------------------
 
 
@@ -106,29 +125,30 @@ def test_integer_path_is_exact_beyond_float():
 
 
 def test_bigint_escalation_matches_closed_form():
-    # product bound (3*13)^13 overflows int64, forcing the big-int walk
+    # product bound (3*13)^13 overflows int64, forcing the Python-integer path
     mat = np.full((13, 13), 3, dtype=np.int64)
     assert pm.permanent_ryser(mat) == 3**13 * math.factorial(13)
 
 
 def test_bigint_walk_agrees_with_vector_path():
+    # the product bound is at most 36^9 < 2^62, so the int64 path runs
     rng = np.random.default_rng(7)
     for _ in range(5):
         mat = rng.integers(-4, 5, size=(9, 9))
-        fast = pm._ryser_int([[int(v) for v in row] for row in mat])
-        slow = pm._ryser_int_bigint([[int(v) for v in row] for row in mat])
+        fast = pm.permanent_ryser(mat)
+        slow = gray_ryser([[int(v) for v in row] for row in mat])
         assert fast == slow
 
 
 @st.composite
-def int_matrices(draw):
-    # The integer kernel splits the columns at h = ceil(d/2).  Each row gets
+def int_matrices(draw, max_d=12):
+    # The Ryser kernel splits the columns at h = ceil(d/2).  Each row gets
     # a nonzero on a random permutation, so most permanents are nonzero, and
     # then either the rest of its pool or up to three more nonzeros in it;
     # the pool is every column or the half that first nonzero lies in.  A
     # zero row or a blank half is drawn too.  Entries of magnitude <= 2 keep
     # the certified bound below 24^12 < 2^62, so the int64 path always runs.
-    d = draw(st.integers(1, 12))
+    d = draw(st.integers(1, max_d))
     h = (d + 1) // 2
     value = st.sampled_from([-2, -1, 1, 2])
     mat = np.zeros((d, d), dtype=np.int64)
@@ -155,9 +175,31 @@ def int_matrices(draw):
 def test_int64_path_matches_the_bigint_walk(mat):
     rows = mat.tolist()
     per = pm.permanent_ryser(mat)
-    assert per == pm._ryser_int_bigint(rows)
+    assert per == gray_ryser(rows)
     if len(rows) <= 8:
         assert per == pm.permanent_naive(rows)
+
+
+@given(int_matrices(max_d=9))
+@PROPERTY
+def test_float_paths_are_exact_on_gaussian_integers(mat):
+    # At d <= 9 with entries of magnitude <= 2 every row sum, product and
+    # partial sum is an integer (or Gaussian integer) below 2^53, so the
+    # real and complex kernels are exact whatever their summation order.
+    per = pm.permanent_ryser(mat)
+    real = pm.permanent_ryser(mat.astype(np.float64))
+    assert isinstance(real, float) and real == per
+    value = pm.permanent_ryser(mat * (1 + 1j))
+    assert isinstance(value, complex) and value == (1 + 1j) ** len(mat) * per
+
+
+@given(int_matrices())
+@PROPERTY
+def test_object_path_matches_the_gray_walk(mat):
+    # Each nonzero entry exceeds 2^62, so the product bound fails whenever
+    # the matrix is not zero and the kernel runs on Python integers.
+    rows = [[v * 10**19 for v in row] for row in mat.tolist()]
+    assert pm.permanent_ryser(rows) == gray_ryser(rows)
 
 
 def test_partial_sums_stay_exact_past_int64():
@@ -169,7 +211,7 @@ def test_partial_sums_stay_exact_past_int64():
     mat[0:2, 0:2] = mat[2:4, 2:4] = [[k, -k], [k, -k]]
     mat[4:, 4:] = np.eye(4, dtype=np.int64)
     assert k**4 < 2**62 and 4 * k**4 > 2**63
-    assert pm.permanent_ryser(mat) == pm._ryser_int_bigint(mat.tolist()) == 4 * k**4
+    assert pm.permanent_ryser(mat) == gray_ryser(mat.tolist()) == 4 * k**4
 
 
 def test_huge_entries_stay_exact():
@@ -211,6 +253,8 @@ def test_spectral_norm_values():
 def test_herm_eig_validates():
     with pytest.raises(ValueError):
         pm.herm_eig([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pm.herm_eig([[1.0, float("nan")], [0.0, 1.0]])
     vals, _ = pm.herm_eig([[2, 0], [0, 3]])
     assert np.allclose(vals, [2, 3])
 
@@ -250,6 +294,31 @@ def test_dilate_rejects_expanding_scale():
         pm.dilate([[2]], c=0.6)
     with pytest.raises(ValueError):
         pm.dilate([[1]], c=-0.1)
+
+
+def test_dilate_rejects_non_finite_scale():
+    with pytest.raises(ValueError, match="scale must be positive, got nan"):
+        pm.dilate([[1]], c=float("nan"))
+    with pytest.raises(ValueError, match="must stay below 1"):
+        pm.dilate([[1]], c=float("inf"))
+    # the zero matrix has norm 0, so only the finiteness check refuses inf
+    with pytest.raises(ValueError, match="scale must be finite, got inf"):
+        pm.dilate([[0]], c=float("inf"))
+
+
+def test_dilate_decomposes_once(monkeypatch):
+    # one SVD for the norm, one eigh of the defect and one of the inner block
+    calls = []
+    for name in ("svd", "eigh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    rng = np.random.default_rng(22)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for c in (None, 0.1 / pm.spectral_norm(mat)):
+        calls.clear()
+        pm.dilate(mat, c)
+        assert sorted(calls) == ["eigh", "eigh", "svd"]
 
 
 # -- photonic amplitudes ------------------------------------------------------
@@ -299,6 +368,8 @@ def test_fock_validation():
         pm.fock_amplitude(u, (-1, 1), (0, 0))
     with pytest.raises(ValueError):
         pm.fock_amplitude([[1, 0], [0, 2]], (1, 0), (1, 0))  # not unitary
+    with pytest.raises(ValueError, match="not unitary"):
+        pm.fock_amplitude([[float("nan"), 0], [0, 1]], (1, 0), (1, 0))
 
 
 def test_output_distribution_sums_to_one():
