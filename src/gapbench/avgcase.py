@@ -88,7 +88,7 @@ def substitute_pivot(f: Poly3, u: int, j: int) -> Poly3:
         raise ValueError("pivot bit must be set in the mask")
     others = [k for k in range(f.n) if k != j and (u >> k) & 1]
     out: list[tuple[int, ...]] = []
-    for term in f.terms():
+    for term in f.terms:
         if j not in term:
             out.append(term)
             continue
@@ -133,6 +133,8 @@ def gap_from_quasi_avg_oracle(f: Poly3, oracle: GapOracle, rng: np.random.Genera
 
 
 def certificate_size(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"a certificate needs at least one variable, got n = {n}")
     return (1 << (n - 1)) + 1
 
 
@@ -168,8 +170,8 @@ def find_certificate(f: Poly3) -> np.ndarray | None:
     table is built.
     """
     check("DIST_CAP", f.n, "find_certificate: n")
-    tt = truth_table(f).reshape(-1)
     need = certificate_size(f.n)
+    tt = truth_table(f).reshape(-1)
     for value in (0, 1):
         idx = np.flatnonzero(tt == value)
         if idx.size >= need:

@@ -47,7 +47,7 @@ BETA = math.pi / 4
 def build_iqp(f: Poly3) -> Circuit:
     """H column, one phase gate per monomial, H column."""
     gates = [Gate("h", (t,)) for t in range(f.n)]
-    for term in f.terms():
+    for term in f.terms:
         kind = {1: "z", 2: "cz", 3: "ccz"}[len(term)]
         gates.append(Gate(kind, term))
     gates += [Gate("h", (t,)) for t in range(f.n)]
@@ -127,7 +127,7 @@ def build_qaoa(f: Poly3) -> QaoaSpec:
     """
     n = f.n
     cons: list[Constraint] = []
-    for term in f.terms():
+    for term in f.terms:
         cons.append(Constraint(term, (1,) * len(term), 2))
     for i in range(n):
         cons.append(Constraint((i,), (1,), 1))

@@ -171,44 +171,32 @@ def _cmd_gap(args, out: Output) -> int:
             j, b = int(var), int(bit)
         except ValueError:
             raise UsageError(f"--restrict wants x<i>=<0|1>, got {spec!r}")
-        if f is None:
-            raise ValueError(f"variable index {j - 1} out of range [0, 0)")
-        if f.n == 1 and j == 1 and b in (0, 1):
-            # pinning the last variable leaves the constant f(b) on no variables
-            f, c = None, poly3.evaluate(f, b)
-        else:
-            f, c = poly3.restrict_with_constant(f, j - 1, b)
+        f, c = poly3.restrict_with_constant(f, j - 1, b)
         const ^= c
     if const and args.emit_json:
         raise ValueError("--emit-json: the JSON form has no constant term")
-    if args.emit_json and f is None:
-        raise ValueError("--emit-json: the JSON form needs at least one variable")
-    if f is None and args.assign not in (None, 0):
-        raise ValueError(f"assignment {args.assign} out of range for 0 variables")
-    n = f.n if f else 0
-    gap = poly3.gap_bruteforce(f) if f else 1
+    gap = poly3.gap_bruteforce(f)
     if const:
         gap = -gap
-    zeros = ((1 << n) + gap) // 2
+    zeros = ((1 << f.n) + gap) // 2
     record = {
         "gap": gap,
         "zeros": zeros,
-        "ones": (1 << n) - zeros,
-        "n": n,
-        "terms": f.term_count if f else 0,
-        "term_budget": poly3.max_terms(n),
-        "text": (poly3.to_text(f) if f else "0") + (" + 1" if const else ""),
+        "ones": (1 << f.n) - zeros,
+        "n": f.n,
+        "terms": len(f.terms),
+        "term_budget": poly3.max_terms(f.n),
+        "text": poly3.to_text(f) + (" + 1" if const else ""),
     }
+    extra = ""
     if args.assign is not None:
-        value = poly3.evaluate(f, args.assign) if f else 0
-        record["value_at"] = {"assignment": args.assign, "value": value ^ const}
+        value = poly3.evaluate(f, args.assign) ^ const
+        record["value_at"] = {"assignment": args.assign, "value": value}
+        extra = f"; f({args.assign:#x}) = {value}"
     if args.emit_json:
         Path(args.emit_json).write_text(poly3.dumps(f))
         record["emitted"] = args.emit_json
-    extra = ""
-    if args.assign is not None:
-        extra = f"; f({args.assign:#x}) = {record['value_at']['value']}"
-    out.emit(record, f"gap = {gap} (n={n}, zeros={record['zeros']}, "
+    out.emit(record, f"gap = {gap} (n={f.n}, zeros={record['zeros']}, "
                      f"ones={record['ones']}){extra}")
     return 0
 
@@ -367,14 +355,13 @@ def _cmd_boson_encode(args, out: Output) -> int:
         "dimension": dil.n,
         "modes": 2 * dil.n,
         "scale": dil.scale,
-        "default_scale": permanents.default_scale(a),
-        "spectral_norm": permanents.spectral_norm(a),
+        "default_scale": dil.default_scale,
+        "spectral_norm": dil.norm,
         "unitarity_defect": permanents.unitarity_defect(dil.unitary),
         "amplitude": enc.amplitude,
     }
     if args.scale is None:
-        alt = permanents.dilate(a)
-        record["scale_check"] = abs(alt.scale - dil.scale)
+        record["scale_check"] = abs(dil.default_scale - dil.scale)
     if args.emit_unitary:
         Path(args.emit_unitary).write_text(
             json.dumps(_matrix_json(dil.unitary), sort_keys=True))
@@ -565,6 +552,8 @@ def _estimate_row(r: dict) -> str:
 
 
 def _cmd_estimate(args, out: Output) -> int:
+    if args.weaken is not None and math.isinf(args.weaken):
+        raise UsageError("--weaken must be finite")
     models = list(estimator.MODELS) if args.model == "all" else [args.model]
     horizon = args.horizon_years * estimator.SECONDS_PER_YEAR
     run = estimator.qubits_for_gate_linear if args.per_element \

@@ -68,7 +68,7 @@ class GadgetGraph:
 def padded_terms(f: Poly3) -> list[tuple[int, int, int]]:
     """Terms of f as 3-variable slots, short terms padded by repetition."""
     out = []
-    for term in f.terms():
+    for term in f.terms:
         if len(term) == 1:
             out.append((term[0], term[0], term[0]))
         elif len(term) == 2:

@@ -190,6 +190,8 @@ def conjecture_weakening(params: EstimateParams, d: float, mode: str) -> Weakeni
     """
     if not d >= 1:
         raise ValueError("d must be at least 1")
+    if not math.isfinite(d):
+        raise ValueError("d must be finite")
     run = qubits_for_gate_linear if params.per_element else qubits_for_horizon
     base = run(params)
     if mode == "divide-constant":

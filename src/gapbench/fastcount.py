@@ -108,19 +108,22 @@ def _int_value_table(masks: np.ndarray, a: int, m: int) -> np.ndarray:
 
 
 def _qhat_values(table: np.ndarray, l: int) -> np.ndarray:
-    """Apply the mod-2^l amplifier pointwise to a monomial-sum table."""
+    """Apply the mod-2^l amplifier pointwise to a monomial-sum table.
+
+    Works in place on three tables, since every fresh 2^m-entry
+    temporary can cost a page fault per 4 KiB.
+    """
     one = np.uint64(1)
-    base = one - table  # wraps; exact mod 2^64
-    pw = np.ones_like(table)
-    for _ in range(l):
-        pw = pw * base
-    acc = np.zeros_like(table)
-    fpow = np.ones_like(table)
-    for j in range(l):
-        coeff = np.uint64(math.comb(l + j - 1, j) & _MASK64)
-        acc = acc + coeff * fpow
-        fpow = fpow * table
-    return (one - pw * acc) & np.uint64((1 << l) - 1)
+    pw = (one - table) ** np.uint64(l)  # wraps; exact mod 2^64
+    # sum_{j<l} C(l+j-1, j) F^j by Horner's rule
+    acc = np.full_like(table, math.comb(2 * l - 2, l - 1) & _MASK64)
+    for j in range(l - 2, -1, -1):
+        acc *= table
+        acc += np.uint64(math.comb(l + j - 1, j) & _MASK64)
+    pw *= acc
+    np.subtract(one, pw, out=pw)
+    pw &= np.uint64((1 << l) - 1)
+    return pw
 
 
 def r_poly(f: Poly3, t: int, l: int | None = None) -> MultilinearPoly:
@@ -139,7 +142,11 @@ def r_poly(f: Poly3, t: int, l: int | None = None) -> MultilinearPoly:
             f"l = {l} aliases counts for t = {t} free variables; need 2^l > 2^t"
         )
     m = f.n - t
-    masks = term_masks(f.terms())
+    # refused before the 2^t blocks of 2^m-entry tables are built; the
+    # blocks together do the 2^n work of brute force
+    check("EVAL_CAP", m, "r_poly: m")
+    check("BRUTE_CAP", f.n, "r_poly: n")
+    masks = term_masks(f.terms)
     total = np.zeros(1 << m, dtype=np.uint64)
     for a_mask in range(1 << t):
         total += _qhat_values(_int_value_table(masks, a_mask, m), l)

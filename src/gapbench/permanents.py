@@ -201,11 +201,12 @@ class Dilation:
     unitary: np.ndarray  # 2n x 2n
     scale: float  # the contraction factor c
     n: int
+    norm: float  # the spectral norm ||A||
 
-
-def default_scale(a) -> float:
-    """Default contraction factor 1/(2 max(1, ||A||))."""
-    return _scale_for_norm(spectral_norm(a))
+    @property
+    def default_scale(self) -> float:
+        """The default contraction factor 1/(2 max(1, ||A||))."""
+        return _scale_for_norm(self.norm)
 
 
 def _scale_for_norm(norm: float) -> float:
@@ -241,7 +242,7 @@ def dilate(a, c: float | None = None) -> Dilation:
     inner = eye + ca @ ((vecs * (1.0 / vals)) @ vecs_h) @ ca.conj().T
     d_block = herm_apply(inner, lambda v: 1.0 / np.sqrt(v))
     u = np.block([[ca, d_block], [s, -s_inv @ ca.conj().T @ d_block]])
-    return Dilation(unitary=u, scale=float(c), n=n)
+    return Dilation(unitary=u, scale=float(c), n=n, norm=norm)
 
 
 def unitarity_defect(u) -> float:

@@ -1,8 +1,9 @@
 """Degree-3 polynomials over GF(2) and their gap statistic.
 
-A polynomial is a set of monomials (no constant term) in n boolean
-variables, each monomial of degree at most three.  The central quantity
-is the gap,
+A polynomial is a set of monomials (no constant term) in n >= 0 boolean
+variables, each monomial of degree at most three, held as one tuple in
+canonical order: by degree, then lexicographically.  The central
+quantity is the gap,
 
     gap(f) = sum_x (-1)^f(x)  =  #zeros(f) - #ones(f),
 
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,28 +54,29 @@ def all_terms(n: int) -> list[tuple[int, ...]]:
 class Poly3:
     """Immutable degree-3 polynomial over GF(2) with no constant term.
 
-    Variables are indexed 0..n-1.  Terms are stored as sorted tuples of
-    distinct indices; a term in the set has coefficient 1.  The empty
-    polynomial (zero) is valid and has gap 2^n.
+    Variables are indexed 0..n-1, n >= 0.  `terms` holds the monomials
+    with coefficient 1 as sorted tuples of distinct indices, in canonical
+    order: by degree, then lexicographically.  The empty polynomial
+    (zero) is valid and has gap 2^n; on n = 0 variables it has gap 1.
     """
 
     n: int
-    linear: frozenset[int] = field(default_factory=frozenset)
-    quadratic: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    cubic: frozenset[tuple[int, int, int]] = field(default_factory=frozenset)
+    terms: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"variable count must be a positive int, got {self.n!r}")
-        for i in self.linear:
-            if not 0 <= i < self.n:
-                raise ValueError(f"linear index {i} out of range [0, {self.n})")
-        for pair in self.quadratic:
-            if len(pair) != 2 or not (0 <= pair[0] < pair[1] < self.n):
-                raise ValueError(f"bad quadratic term {pair}")
-        for trip in self.cubic:
-            if len(trip) != 3 or not (0 <= trip[0] < trip[1] < trip[2] < self.n):
-                raise ValueError(f"bad cubic term {trip}")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"variable count must be a nonnegative int, got {self.n!r}")
+        if not isinstance(self.terms, tuple):
+            raise ValueError("terms must be a tuple of index tuples")
+        prev: tuple = (0, ())
+        for term in self.terms:
+            if not (isinstance(term, tuple) and 1 <= len(term) <= 3 and 0 <= term[0]
+                    and term[-1] < self.n and all(map(operator.lt, term, term[1:]))):
+                raise ValueError(f"bad term {term!r} for {self.n} variables")
+            key = (len(term), term)
+            if key <= prev:
+                raise ValueError(f"term {term} repeated or out of canonical order")
+            prev = key
 
     @classmethod
     def from_terms(cls, n: int, terms) -> "Poly3":
@@ -90,21 +93,8 @@ class Poly3:
             if len(mono) > 3:
                 raise ValueError(f"term {tuple(raw)} has degree {len(mono)} > 3")
             counts[mono] = counts.get(mono, 0) ^ 1
-        linear = frozenset(t[0] for t, c in counts.items() if c and len(t) == 1)
-        quad = frozenset(t for t, c in counts.items() if c and len(t) == 2)
-        cubic = frozenset(t for t, c in counts.items() if c and len(t) == 3)
-        return cls(n=n, linear=linear, quadratic=quad, cubic=cubic)
-
-    def terms(self) -> list[tuple[int, ...]]:
-        """All present terms, sorted: linear, then quadratic, then cubic."""
-        out: list[tuple[int, ...]] = [(i,) for i in sorted(self.linear)]
-        out.extend(sorted(self.quadratic))
-        out.extend(sorted(self.cubic))
-        return out
-
-    @property
-    def term_count(self) -> int:
-        return len(self.linear) + len(self.quadratic) + len(self.cubic)
+        odd = sorted(t for t, c in counts.items() if c)
+        return cls(n=n, terms=tuple(sorted(odd, key=len)))  # stable: lexicographic per degree
 
     def __str__(self) -> str:
         return to_text(self)
@@ -127,12 +117,8 @@ def evaluate(f: Poly3, x) -> int:
         if any(b not in (0, 1) for b in bits):
             raise ValueError("assignment bits must be 0 or 1")
     acc = 0
-    for i in f.linear:
-        acc ^= bits[i]
-    for i, j in f.quadratic:
-        acc ^= bits[i] & bits[j]
-    for i, j, k in f.cubic:
-        acc ^= bits[i] & bits[j] & bits[k]
+    for term in f.terms:
+        acc ^= all(bits[i] for i in term)
     return acc
 
 
@@ -147,7 +133,7 @@ def evaluate_points(f: Poly3, xs) -> np.ndarray:
         raise ValueError(f"assignments out of range for {f.n} variables")
     cols = [np.packbits(xs & (1 << i)) for i in range(f.n)]
     acc = np.zeros(-(-xs.size // 8), dtype=np.uint8)
-    for term in f.terms():
+    for term in f.terms:
         prod = cols[term[0]]
         for i in term[1:]:
             prod = prod & cols[i]
@@ -157,7 +143,7 @@ def evaluate_points(f: Poly3, xs) -> np.ndarray:
 
 def truth_table(f: Poly3) -> np.ndarray:
     """0/1 uint8 table of f on all 2^n assignments (index bit i = var i)."""
-    masks = term_masks(f.terms())
+    masks = term_masks(f.terms)
     packed = packed_truth_tables(np.ones((1, len(masks)), dtype=bool), masks, f.n)[0]
     packed = packed.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(packed, bitorder="little")[: 1 << f.n]
@@ -177,7 +163,7 @@ def gap_bruteforce(f: Poly3) -> int:
     """
     check("BRUTE_CAP", f.n, "gap_bruteforce: n")
     low = min(f.n, _TABLE_LIMIT)
-    masks = term_masks(f.terms())
+    masks = term_masks(f.terms)
     blocks = np.arange(1 << (f.n - low))[:, None]
     alive = ((masks >> low) & ~blocks) == 0
     return int(gaps(alive, masks & ((1 << low) - 1), low).sum())
@@ -190,55 +176,44 @@ def zeros_count(f: Poly3) -> int:
 
 def linear_part(f: Poly3) -> int:
     """The linear terms of f as an n-bit mask (bit i set iff x_i present)."""
-    mask = 0
-    for i in f.linear:
-        mask |= 1 << i
-    return mask
+    return sum(1 << t[0] for t in f.terms if len(t) == 1)
 
 
 def strip_linear(f: Poly3) -> Poly3:
     """f with its linear part removed (degree >= 2 terms only)."""
-    return Poly3(n=f.n, linear=frozenset(), quadratic=f.quadratic, cubic=f.cubic)
+    return Poly3(n=f.n, terms=tuple(t for t in f.terms if len(t) > 1))
 
 
 def with_linear(f: Poly3, mask: int) -> Poly3:
     """Replace the linear part of f with the given n-bit mask."""
     if not 0 <= mask < (1 << f.n):
         raise ValueError(f"linear mask {mask} out of range for n = {f.n}")
-    lin = frozenset(i for i in range(f.n) if (mask >> i) & 1)
-    return Poly3(n=f.n, linear=lin, quadratic=f.quadratic, cubic=f.cubic)
+    lin = tuple((i,) for i in range(f.n) if (mask >> i) & 1)
+    return Poly3(n=f.n, terms=lin + strip_linear(f).terms)
 
 
 def restrict_with_constant(f: Poly3, j: int, b: int) -> tuple[Poly3, int]:
     """Substitute x_j = b and reindex; returns (polynomial, constant bit).
 
-    Variables above j shift down by one.  Substituting b = 1 into the
-    bare term x_j produces the constant 1, which Poly3 cannot hold, so
-    the constant comes back separately:  f(x)|_{x_j=b} = poly(x') + c.
+    Variables above j shift down by one; pinning the last variable
+    leaves a polynomial on none.  Substituting b = 1 into the bare term
+    x_j produces the constant 1, which Poly3 cannot hold, so the
+    constant comes back separately:  f(x)|_{x_j=b} = poly(x') + c.
     """
     if not 0 <= j < f.n:
         raise ValueError(f"variable index {j} out of range [0, {f.n})")
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b!r}")
-    if f.n < 2:
-        raise ValueError("cannot restrict a 1-variable polynomial")
-
-    def reindex(i: int) -> int:
-        return i if i < j else i - 1
-
     const = 0
     new_terms: list[tuple[int, ...]] = []
-    for term in f.terms():
-        if j in term:
-            if b == 0:
-                continue
-            rest = tuple(reindex(i) for i in term if i != j)
-            if not rest:
-                const ^= 1
-            else:
-                new_terms.append(rest)
+    for term in f.terms:
+        if b == 0 and j in term:
+            continue
+        rest = tuple(i if i < j else i - 1 for i in term if i != j)
+        if rest:
+            new_terms.append(rest)
         else:
-            new_terms.append(tuple(reindex(i) for i in term))
+            const ^= 1
     return Poly3.from_terms(f.n - 1, new_terms), const
 
 
@@ -317,7 +292,7 @@ def parse_poly(text: str, n: int) -> Poly3:
 
 def to_text(f: Poly3) -> str:
     """Render in the 1-based grammar; the empty polynomial prints as '0'."""
-    parts = ["*".join(f"x{i + 1}" for i in term) for term in f.terms()]
+    parts = ["*".join(f"x{i + 1}" for i in term) for term in f.terms]
     return " + ".join(parts) if parts else "0"
 
 
@@ -328,9 +303,9 @@ def to_json_dict(f: Poly3) -> dict:
     """Canonical dict with 0-based, sorted, deduplicated index lists."""
     return {
         "n": f.n,
-        "linear": sorted(f.linear),
-        "quadratic": [list(t) for t in sorted(f.quadratic)],
-        "cubic": [list(t) for t in sorted(f.cubic)],
+        "linear": [t[0] for t in f.terms if len(t) == 1],
+        "quadratic": [list(t) for t in f.terms if len(t) == 2],
+        "cubic": [list(t) for t in f.terms if len(t) == 3],
     }
 
 
@@ -345,8 +320,7 @@ def from_json_dict(d: dict) -> Poly3:
     for t in terms:
         if any(not 0 <= i < n for i in t):
             raise ValueError(f"index in term {t} out of range [0, {n})")
-    f = Poly3.from_terms(n, terms)
-    return f
+    return Poly3.from_terms(n, terms)
 
 
 def dumps(f: Poly3) -> str:

@@ -119,7 +119,7 @@ def gaps(sel: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def term_masks(terms: Iterable[tuple[int, ...]]) -> np.ndarray:
-    """int64 variable mask of each term in order, e.g. of a Poly3's terms()."""
+    """int64 variable mask of each term in order, e.g. of a Poly3's terms."""
     out = []
     for term in terms:
         mask = 0

@@ -85,7 +85,7 @@ def test_randomize_linear_keeps_upper_parts():
 def test_randomize_linear_uniform_at_n1():
     f = Poly3.from_terms(1, [])
     hits = sum(
-        av.randomize_linear(f, np.random.default_rng(seed)).linear != frozenset()
+        av.randomize_linear(f, np.random.default_rng(seed)).terms != ()
         for seed in range(10_000)
     )
     assert abs(hits / 10_000 - 0.5) < 0.02
@@ -112,7 +112,7 @@ def test_substitute_contract_example():
     # x1 + x2 under x2' = x1 + x2 becomes the single variable x2
     f = parse_poly("x1 + x2", 2)
     fp = av.substitute_pivot(f, 0b11, 1)
-    assert fp.terms() == [(1,)]
+    assert fp.terms == ((1,),)
     assert gap_bruteforce(fp) == gap_bruteforce(f) == 0
 
 
@@ -125,7 +125,7 @@ def test_substitute_preserves_gap_randomized():
         j = int(rng.choice(np.flatnonzero([(u >> k) & 1 for k in range(n)])))
         fp = av.substitute_pivot(f, u, j)
         assert gap_bruteforce(fp) == gap_bruteforce(f)
-        assert all(len(t) <= 3 for t in fp.terms())
+        assert all(len(t) <= 3 for t in fp.terms)
 
 
 def test_substitute_rejects_bad_pivot():
@@ -269,6 +269,13 @@ def test_find_certificate_cap(monkeypatch):
     f = Poly3.from_terms(2, [(0,)])
     with pytest.raises(CapExceeded):
         av.find_certificate(f)
+
+
+def test_certificates_need_a_variable():
+    with pytest.raises(ValueError, match="needs at least one variable, got n = 0"):
+        av.find_certificate(Poly3(n=0))
+    with pytest.raises(ValueError, match="needs at least one variable"):
+        av.certificate_verify(lambda xs: 0, 0, [0])
 
 
 # ------------------------------------------------------------ SB thresholds

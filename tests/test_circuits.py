@@ -62,7 +62,7 @@ class TestIqpForm:
         rng = np.random.default_rng(3)
         for _ in range(10):
             f = random_poly(6, rng)
-            assert len(build_iqp(f).gates) == 2 * f.n + f.term_count
+            assert len(build_iqp(f).gates) == 2 * f.n + len(f.terms)
 
     def test_example_amplitude(self):
         # gap = -2 on 3 variables -> amplitude -2/8
@@ -93,9 +93,7 @@ class TestIqpForm:
         for delta in range(32):
             shifted = Poly3(
                 n=5,
-                linear=frozenset(i for i in range(5) if (delta >> i) & 1),
-                quadratic=fbar.quadratic,
-                cubic=fbar.cubic,
+                terms=tuple((i,) for i in range(5) if (delta >> i) & 1) + fbar.terms,
             )
             want = (gap_bruteforce(shifted) / 32) ** 2
             assert abs(dist[delta] - want) < 1e-10

@@ -9,6 +9,7 @@ import pytest
 import gapbench.avgcase as avgcase
 import gapbench.circuits as circuits
 import gapbench.config as config
+import gapbench.fastcount as fastcount
 import gapbench.gapdist as gapdist
 import gapbench.poly3 as poly3
 import gapbench.permanents as pm
@@ -169,6 +170,22 @@ def test_gap_restrict_every_variable_leaves_a_constant(capsys, tmp_path, text, p
     assert records(out)[0]["error"]["message"] == "variable index 0 out of range [0, 0)"
 
 
+def test_gap_emits_the_polynomial_on_no_variables(capsys, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("x1 + x2 + x1*x2")
+    emitted = tmp_path / "out.json"
+    code, out, _ = run(capsys, "gap", "--poly", str(path), "--restrict", "1=0",
+                       "--restrict", "1=0", "--emit-json", str(emitted),
+                       "--format", "structured")
+    assert code == 0
+    assert records(out)[0]["gap"] == 1
+    assert emitted.read_text() == '{"cubic": [], "linear": [], "n": 0, "quadratic": []}'
+    code, out, _ = run(capsys, "gap", "--poly", str(emitted), "--format", "structured")
+    assert code == 0
+    rec = records(out)[0]
+    assert (rec["gap"], rec["n"], rec["text"]) == (1, 0, "0")
+
+
 def test_gap_runs_brute_force_once(capsys, monkeypatch, paper_poly):
     calls = count_brute_force_calls(monkeypatch)
     code, out, _ = run(capsys, "gap", "--poly", paper_poly, "--format", "structured")
@@ -208,6 +225,19 @@ def test_count_brute_uses_the_packed_gap(capsys, monkeypatch, tmp_path):
     assert code == 0
     rb, rl = records(out_b)[0], records(out_l)[0]
     assert (rb["count"], rb["zeros"], rb["gap"]) == (rl["count"], rl["zeros"], rl["gap"])
+
+
+def test_count_lptwy_refuses_before_any_block(capsys, monkeypatch, tmp_path):
+    def built(*args):
+        raise AssertionError("a block value table was built")
+
+    monkeypatch.setattr(fastcount, "_int_value_table", built)
+    path = write_poly(tmp_path, poly3.Poly3.from_terms(50, [(0,)]))
+    code, out, _ = run(capsys, "count", "--poly", path, "--method", "lptwy",
+                       "--free-vars", "44", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {"type": "CapExceeded",
+                                        "message": "r_poly: n = 50 exceeds cap 28"}
 
 
 def test_count_lptwy_needs_free_vars(capsys, paper_poly):
@@ -519,6 +549,27 @@ def test_fock_amp_refuses_nan_unitary(capsys, tmp_path):
                                         "message": "matrix is not unitary within tolerance"}
 
 
+@pytest.mark.parametrize("scale", [[], ["--scale", "0.1"]])
+def test_boson_encode_decomposes_once(capsys, monkeypatch, tmp_path, scale):
+    # one SVD for the norm, one eigh of the defect and one of the inner block
+    calls = []
+    for name in ("svd", "eigh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    mat = tmp_path / "a.json"
+    mat.write_text(json.dumps([[1, 2], [3, 4]]))
+    code, out, _ = run(capsys, "boson-encode", "--matrix", str(mat), *scale,
+                       "--format", "structured")
+    assert code == 0
+    assert sorted(calls) == ["eigh", "eigh", "svd"]
+    rec = records(out)[0]
+    norm = float(np.linalg.norm(np.array([[1, 2], [3, 4]]), 2))
+    assert abs(rec["spectral_norm"] - norm) < 1e-12
+    assert abs(rec["default_scale"] - 1 / (2 * norm)) < 1e-15
+    assert rec.get("scale_check") == (None if scale else 0.0)
+
+
 def test_boson_encode_fock_amp_pipeline(capsys, tmp_path):
     a = np.array([[1, 2], [3, 4]], dtype=float)
     mat = tmp_path / "a.json"
@@ -823,6 +874,15 @@ def test_estimate_refuses_nan_weakening(capsys):
                        "--format", "structured")
     assert code == 1
     assert records(out)[-1]["error"]["message"] == "d must be at least 1"
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("mode", ["divide-constant", "divide-prefactor"])
+def test_estimate_infinite_weakening_is_usage_error(capsys, fmt, mode):
+    code, out, err = run(capsys, "estimate", "--model", "iqp-mult", "--weaken", "inf",
+                         "--weaken-mode", mode, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: --weaken must be finite\n"
 
 
 def test_estimate_human_table(capsys):

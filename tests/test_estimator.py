@@ -319,6 +319,9 @@ def test_weakening_validation():
         conjecture_weakening(EstimateParams(model="iqp-mult"), 2, "divide-everything")
     with pytest.raises(ValueError, match="d must be at least 1"):
         conjecture_weakening(EstimateParams(model="iqp-mult"), math.nan, "divide-constant")
+    for mode in ("divide-constant", "divide-prefactor"):
+        with pytest.raises(ValueError, match="d must be finite"):
+            conjecture_weakening(EstimateParams(model="iqp-mult"), math.inf, mode)
 
 
 def test_weakening_respects_per_element_mode():

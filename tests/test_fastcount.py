@@ -23,6 +23,7 @@ import pytest
 from gapbench import fastcount as fc
 from gapbench.config import CapExceeded
 from gapbench.poly3 import (
+    Poly3,
     parse_poly,
     random_poly,
     truth_table,
@@ -50,7 +51,7 @@ def qhat(f, bits, l):
     """Amplified indicator of f with its last len(bits) variables fixed."""
     m = f.n - len(bits)
     a_mask = sum(b << i for i, b in enumerate(bits))
-    table = fc._int_value_table(term_masks(f.terms()), a_mask, m)
+    table = fc._int_value_table(term_masks(f.terms), a_mask, m)
     return fc.from_values(m, l, fc._qhat_values(table, l))
 
 
@@ -99,6 +100,18 @@ def test_validation(monkeypatch):
         fc.eval_all(single(10, 2, 0, 1))
 
 
+@pytest.mark.parametrize("n, t, label", [(50, 44, "r_poly: n = 50"),  # m = 6
+                                         (28, 1, "r_poly: m = 27")])
+def test_lptwy_refuses_before_any_block(monkeypatch, n, t, label):
+    # 2^44 blocks of 2^6 entries pass the m cap but do 2^50 work in all
+    def built(*args):
+        raise AssertionError("a block value table was built")
+
+    monkeypatch.setattr(fc, "_int_value_table", built)
+    with pytest.raises(CapExceeded, match=label):
+        fc.count_ones_lptwy(Poly3.from_terms(n, [(0,)]), t)
+
+
 # -- the amplifier ------------------------------------------------------------
 
 
@@ -114,6 +127,17 @@ def test_amplifier_is_parity_for_many_moduli():
     for l in (1, 2, 3, 6, 13, 31, 62):
         got = fc._qhat_values(table, l)
         assert got.tolist() == [v % 2 for v in range(50)]
+
+
+def test_amplifier_matches_exact_integer_arithmetic():
+    # reference: the defining formula on Python integers, reduced mod 2^l
+    rng = np.random.default_rng(31)
+    table = rng.integers(0, 2**63, size=64, dtype=np.uint64) * np.uint64(2)
+    table[:2] += np.uint64(1)
+    for l in (1, 2, 3, 5, 17, 62):
+        want = [(1 - (1 - v) ** l * sum(math.comb(l + j - 1, j) * v**j for j in range(l)))
+                % (1 << l) for v in table.tolist()]
+        assert fc._qhat_values(table, l).tolist() == want
 
 
 def test_qhat_single_block_example():

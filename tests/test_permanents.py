@@ -275,8 +275,8 @@ def test_dilate_scalar_two():
 
 
 def test_default_scale():
-    assert abs(pm.default_scale([[2]]) - 0.25) < 1e-12
-    assert abs(pm.default_scale([[0.3]]) - 0.5) < 1e-12  # norm below 1 clamps at 1
+    assert abs(pm.dilate([[2]]).default_scale - 0.25) < 1e-12
+    assert abs(pm.dilate([[0.3]]).default_scale - 0.5) < 1e-12  # norm below 1 clamps at 1
 
 
 def test_dilate_top_left_block_and_unitarity():

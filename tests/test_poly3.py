@@ -41,7 +41,7 @@ def oracle_gap(f):
     total = 0
     for bits in itertools.product((0, 1), repeat=f.n):
         v = 0
-        for term in f.terms():
+        for term in f.terms:
             prod = 1
             for i in term:
                 prod &= bits[i]
@@ -70,19 +70,18 @@ def example_f():
 class TestConstruction:
     def test_empty_poly_valid(self):
         f = Poly3(n=4)
-        assert f.term_count == 0
+        assert len(f.terms) == 0
         assert gap_bruteforce(f) == 16
 
     def test_from_terms_normalizes_repeated_variable(self):
         f = Poly3.from_terms(3, [(0, 0, 1)])
-        assert f.quadratic == frozenset({(0, 1)})
-        assert f.cubic == frozenset()
+        assert f.terms == ((0, 1),)
 
     def test_from_terms_cancels_duplicates_mod2(self):
         f = Poly3.from_terms(2, [(0,), (0,)])
-        assert f.term_count == 0
+        assert len(f.terms) == 0
         g = Poly3.from_terms(2, [(0,), (0,), (0,)])
-        assert g.linear == frozenset({0})
+        assert g.terms == ((0,),)
 
     def test_degree_0_rejected(self):
         with pytest.raises(ValueError):
@@ -94,13 +93,85 @@ class TestConstruction:
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            Poly3(n=2, linear=frozenset({2}))
+            Poly3(n=2, terms=((2,),))
         with pytest.raises(ValueError):
-            Poly3(n=3, quadratic=frozenset({(2, 1)}))  # unsorted pair
+            Poly3(n=3, terms=((2, 1),))  # unsorted pair
+
+    def test_non_canonical_and_duplicate_terms_rejected(self):
+        with pytest.raises(ValueError, match="canonical order"):
+            Poly3(n=3, terms=((0, 1), (2,)))  # a pair before a linear term
+        with pytest.raises(ValueError, match="canonical order"):
+            Poly3(n=3, terms=((1,), (0,)))
+        with pytest.raises(ValueError, match="repeated"):
+            Poly3(n=3, terms=((0, 1), (0, 1)))
+        with pytest.raises(ValueError):
+            Poly3(n=3, terms=((0, 0),))  # repeated index inside a term
+        with pytest.raises(ValueError):
+            Poly3(n=5, terms=((0, 1, 2, 3),))
+        with pytest.raises(ValueError):
+            Poly3(n=-1)
 
     def test_max_terms_formula_matches_enumeration(self):
         for n in range(1, 11):
             assert len(all_terms(n)) == max_terms(n) == n * (n * n + 5) // 6
+
+
+def degree_split_terms(n, raw_terms):
+    # independent reference: the mod-2 degree split reassembled as
+    # linear, then quadratic, then cubic, each sorted
+    split = {1: set(), 2: set(), 3: set()}
+    for raw in raw_terms:
+        mono = tuple(sorted(set(raw)))
+        split[len(mono)] ^= {mono}
+    return tuple(sorted(split[1]) + sorted(split[2]) + sorted(split[3]))
+
+
+@st.composite
+def raw_terms(draw):
+    n = draw(st.integers(1, 8))
+    term = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+    return n, draw(st.lists(term, max_size=40))
+
+
+@st.composite
+def canonical_polys(draw):
+    n = draw(st.integers(1, 8))
+    terms = all_terms(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    return Poly3.from_terms(n, [t for t, k in zip(terms, keep) if k])
+
+
+class TestCanonicalTerms:
+    @given(raw_terms())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_from_terms_matches_the_degree_split(self, case):
+        n, raw = case
+        assert Poly3.from_terms(n, raw).terms == degree_split_terms(n, raw)
+
+    @given(canonical_polys())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_round_trips(self, f):
+        assert Poly3(n=f.n, terms=f.terms) == f
+        assert loads(dumps(f)) == f
+        assert parse_poly(to_text(f), f.n) == f
+
+
+class TestZeroVariables:
+    def test_zero_polynomial_on_no_variables(self):
+        f = Poly3(n=0)
+        assert f.terms == ()
+        assert truth_table(f).tolist() == [0]
+        assert evaluate(f, 0) == 0 and evaluate(f, ()) == 0
+
+    def test_json_round_trip(self):
+        text = dumps(Poly3(n=0))
+        assert json.loads(text) == {"n": 0, "linear": [], "quadratic": [], "cubic": []}
+        assert loads(text) == Poly3(n=0)
+
+    def test_restricting_the_last_variable(self):
+        assert restrict_with_constant(parse_poly("x1", 1), 0, 0) == (Poly3(n=0), 0)
+        assert restrict_with_constant(parse_poly("x1", 1), 0, 1) == (Poly3(n=0), 1)
+        assert restrict_with_constant(Poly3(n=1), 0, 1) == (Poly3(n=0), 0)
 
 
 class TestEvaluate:
@@ -146,7 +217,7 @@ class TestGap:
         assert zeros_count(f) == 3
 
     def test_empty_gap_is_full_weight(self):
-        for n in (1, 3, 6):
+        for n in (0, 1, 3, 6):
             assert gap_bruteforce(Poly3(n=n)) == 2 ** n
 
     def test_all_two_variable_polynomials(self):
@@ -228,8 +299,7 @@ class TestLinearPart:
     def test_strip_and_with_linear_roundtrip(self):
         f = example_f()
         bare = strip_linear(f)
-        assert bare.linear == frozenset()
-        assert bare.quadratic == f.quadratic and bare.cubic == f.cubic
+        assert bare.terms == ((0, 1), (0, 1, 2))
         assert with_linear(bare, linear_part(f)) == f
 
     def test_shift_identity(self):
@@ -279,9 +349,6 @@ class TestRestrict:
                 assert (evaluate(poly, y) ^ const) == evaluate(f, x)
 
     def test_restrict_validation(self):
-        f = parse_poly("x1", 1)
-        with pytest.raises(ValueError):
-            restrict_with_constant(f, 0, 0)  # n = 1
         g = parse_poly("x1 + x2", 2)
         with pytest.raises(ValueError):
             restrict_with_constant(g, 2, 0)
@@ -301,7 +368,7 @@ class TestRandomPoly:
 
     def test_term_inclusion_rate_is_about_half(self):
         rng = np.random.default_rng(103)
-        total = sum(random_poly(8, rng).term_count for _ in range(200))
+        total = sum(len(random_poly(8, rng).terms) for _ in range(200))
         mean = total / 200 / max_terms(8)
         assert 0.45 < mean < 0.55
 

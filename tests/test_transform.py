@@ -101,7 +101,7 @@ def test_bruteforce_matches_lptwy_for_every_t(f):
 @given(polys())
 @PROPERTY
 def test_gap_of_mask_matches_bruteforce(f):
-    present = set(f.terms())
+    present = set(f.terms)
     terms = all_terms(f.n)
     mask = np.array([[t in present for t in terms]])
     assert gaps(mask, term_masks(terms), f.n)[0] == gap_bruteforce(f)
