@@ -552,7 +552,7 @@ def _estimate_row(r: dict) -> str:
 
 
 def _cmd_estimate(args, out: Output) -> int:
-    if args.weaken is not None and math.isinf(args.weaken):
+    if args.weaken is not None and not math.isfinite(args.weaken):
         raise UsageError("--weaken must be finite")
     models = list(estimator.MODELS) if args.model == "all" else [args.model]
     horizon = args.horizon_years * estimator.SECONDS_PER_YEAR

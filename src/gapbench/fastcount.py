@@ -15,9 +15,11 @@ Multilinear polynomials mod 2^l are represented densely by coefficient
 arrays indexed by variable-subset mask; the subset-sum (zeta) transform
 converts to value tables and its inverse (Moebius) converts back, so
 the amplifier's powers of F are taken pointwise in the value domain,
-where x^2 = x holds by itself.  All arithmetic lives in uint64: 2^l
-divides 2^64, so wrapping multiplication and addition are exact mod 2^l
-after masking.
+where x^2 = x holds by itself.  Every table lives in the narrowest
+unsigned word of w >= l bits (`_word`): uint8 up to l = 8, then uint16,
+uint32 and uint64.  Qhat_l is an integer polynomial in F, zeta and
+Moebius are integer-linear, and reducing mod 2^w is a ring map, so
+wrapping word arithmetic is exact mod 2^w, hence mod 2^l after masking.
 
 F itself is built the same way for each block: the terms that survive
 the setting a are counted by their fixed-variable mask, and the zeta
@@ -36,12 +38,23 @@ from .config import check
 from .poly3 import Poly3
 from .transform import mobius, term_masks, zeta
 
-_MASK64 = (1 << 64) - 1
+_WORDS = tuple(np.dtype(w) for w in (np.uint8, np.uint16, np.uint32, np.uint64))
 
 
 def _check_l(l: int) -> None:
     if not 1 <= l <= 62:
         raise ValueError(f"modulus exponent l must be in [1, 62], got {l}")
+
+
+def _word(l: int) -> np.dtype:
+    """The narrowest unsigned dtype with at least l bits: every table of
+    the mod-2^l pipeline is computed in it."""
+    return next(w for w in _WORDS if 8 * w.itemsize >= l)
+
+
+def _const(c: int, word: np.dtype):
+    # the integer c reduced into the word, as a scalar of that dtype
+    return word.type(c & ((1 << 8 * word.itemsize) - 1))
 
 
 @dataclass(frozen=True)
@@ -50,7 +63,9 @@ class MultilinearPoly:
 
     m: int
     l: int
-    coeffs: np.ndarray  # uint64, shape (2^m,), entries < 2^l
+    # unsigned integers, shape (2^m,), read mod 2^l; from_values and
+    # r_poly give them in _word(l) with entries < 2^l
+    coeffs: np.ndarray
 
     def __post_init__(self):
         _check_l(self.l)
@@ -75,27 +90,36 @@ class MultilinearPoly:
 def eval_all(p: MultilinearPoly) -> np.ndarray:
     """Value table over all 2^m points, entry y = p(y) mod 2^l."""
     check("EVAL_CAP", p.m, "eval_all: m")
-    table = zeta(p.coeffs.copy())
-    table &= np.uint64(p.mask)
+    word = _word(p.l)
+    table = zeta(p.coeffs.astype(word))
+    table &= _const(p.mask, word)
     return table
 
 
 def from_values(m: int, l: int, values: np.ndarray) -> MultilinearPoly:
-    """Interpolate the unique multilinear polynomial with this value table."""
+    """Interpolate the unique multilinear polynomial with this value table.
+
+    values may hold any integers (a list, a signed or unsigned array);
+    they are read mod 2^l.
+    """
     _check_l(l)
-    coeffs = np.array(values, dtype=np.uint64, copy=True)
-    if coeffs.shape != (1 << m,):
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        # Python integers of any size, reduced exactly before the cast
+        values = np.array(values, dtype=object) % (1 << l)
+    if values.shape != (1 << m,):
         raise ValueError("value table must have 2^m entries")
-    mobius(coeffs)
-    coeffs &= np.uint64((1 << l) - 1)
+    word = _word(l)
+    coeffs = mobius(values.astype(word))  # casting wraps mod 2^w
+    coeffs &= _const((1 << l) - 1, word)
     return MultilinearPoly(m=m, l=l, coeffs=coeffs)
 
 
 # -- the counting pipeline ----------------------------------------------------
 
 
-def _int_value_table(masks: np.ndarray, a: int, m: int) -> np.ndarray:
-    """Monomial-sum values of f(y, a) over all 2^m fixed-variable points.
+def _int_value_table(masks: np.ndarray, a: int, m: int, word: np.dtype) -> np.ndarray:
+    """Monomial-sum values of f(y, a) over all 2^m fixed-variable points,
+    mod 2^w in the unsigned dtype word.
 
     masks holds the variable masks of f's terms.  A term survives the
     free-variable assignment a when all its free variables are set; the
@@ -104,25 +128,35 @@ def _int_value_table(masks: np.ndarray, a: int, m: int) -> np.ndarray:
     """
     alive = ((masks >> m) & ~a) == 0
     counts = np.bincount(masks[alive] & ((1 << m) - 1), minlength=1 << m)
-    return zeta(counts.astype(np.uint64))
+    return zeta(counts.astype(word))
 
 
 def _qhat_values(table: np.ndarray, l: int) -> np.ndarray:
-    """Apply the mod-2^l amplifier pointwise to a monomial-sum table.
+    """Apply the mod-2^l amplifier pointwise to an integer monomial-sum
+    table (any integer dtype, left unchanged); the result is in _word(l).
 
-    Works in place on three tables, since every fresh 2^m-entry
-    temporary can cost a page fault per 4 KiB.
+    Works on three tables, since every fresh 2^m-entry temporary can cost
+    a page fault per 4 KiB.
     """
-    one = np.uint64(1)
-    pw = (one - table) ** np.uint64(l)  # wraps; exact mod 2^64
-    # sum_{j<l} C(l+j-1, j) F^j by Horner's rule
-    acc = np.full_like(table, math.comb(2 * l - 2, l - 1) & _MASK64)
+    word = _word(l)
+    table = table.astype(word, copy=False)  # casting wraps mod 2^w
+    one = _const(1, word)
+    base = one - table
+    # (1 - F)^l by square-and-multiply, from the top bit of l down
+    pw = base.copy()
+    for bit in bin(l)[3:]:
+        pw *= pw
+        if bit == "1":
+            pw *= base
+    # sum_{j<l} C(l+j-1, j) F^j by Horner's rule, in base's buffer
+    acc = base
+    acc.fill(_const(math.comb(2 * l - 2, l - 1), word))
     for j in range(l - 2, -1, -1):
         acc *= table
-        acc += np.uint64(math.comb(l + j - 1, j) & _MASK64)
+        acc += _const(math.comb(l + j - 1, j), word)
     pw *= acc
     np.subtract(one, pw, out=pw)
-    pw &= np.uint64((1 << l) - 1)
+    pw &= _const((1 << l) - 1, word)
     return pw
 
 
@@ -147,10 +181,11 @@ def r_poly(f: Poly3, t: int, l: int | None = None) -> MultilinearPoly:
     check("EVAL_CAP", m, "r_poly: m")
     check("BRUTE_CAP", f.n, "r_poly: n")
     masks = term_masks(f.terms)
-    total = np.zeros(1 << m, dtype=np.uint64)
+    word = _word(l)
+    total = np.zeros(1 << m, dtype=word)
     for a_mask in range(1 << t):
-        total += _qhat_values(_int_value_table(masks, a_mask, m), l)
-    return from_values(m, l, total & np.uint64((1 << l) - 1))
+        total += _qhat_values(_int_value_table(masks, a_mask, m, word), l)
+    return from_values(m, l, total)
 
 
 def _exact_sum(values: np.ndarray, l: int) -> int:

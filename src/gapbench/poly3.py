@@ -309,14 +309,27 @@ def to_json_dict(f: Poly3) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def from_json_dict(d: dict) -> Poly3:
     if not isinstance(d, dict) or "n" not in d:
         raise ValueError("polynomial JSON must be an object with an 'n' field")
     n = d["n"]
+    if not _is_int(n):
+        raise ValueError(f"'n' must be an int, got {n!r}")
     terms: list[tuple[int, ...]] = []
-    terms.extend((int(i),) for i in d.get("linear", []))
-    terms.extend(tuple(int(i) for i in t) for t in d.get("quadratic", []))
-    terms.extend(tuple(int(i) for i in t) for t in d.get("cubic", []))
+    for key in ("linear", "quadratic", "cubic"):
+        entries = d.get(key, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"'{key}' must be a list, got {entries!r}")
+        want = "an int index" if key == "linear" else "a list of int indices"
+        for entry in entries:
+            term = [entry] if key == "linear" else entry
+            if not (isinstance(term, list) and all(map(_is_int, term))):
+                raise ValueError(f"'{key}' entry {entry!r} is not {want}")
+            terms.append(tuple(term))
     for t in terms:
         if any(not 0 <= i < n for i in t):
             raise ValueError(f"index in term {t} out of range [0, {n})")

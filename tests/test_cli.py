@@ -75,6 +75,18 @@ def test_gap_json_input(capsys, paper_poly):
     assert rec["term_budget"] == 7
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"n": "3", "linear": [0]}, "'n' must be an int, got '3'"),
+    ({"n": 2, "linear": [[0]]}, "'linear' entry [0] is not an int index"),
+])
+def test_gap_json_with_malformed_types_is_a_domain_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "gap", "--poly", str(path), "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {"type": "ValueError", "message": message}
+
+
 def test_gap_text_grammar_input(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("x1 + x2 + x1*x2 + x1*x2*x3")
@@ -870,10 +882,21 @@ def test_estimate_refuses_non_finite_budgets(capsys, argv):
 
 
 def test_estimate_refuses_nan_weakening(capsys):
-    code, out, _ = run(capsys, "estimate", "--model", "iqp-mult", "--weaken", "nan",
-                       "--format", "structured")
-    assert code == 1
-    assert records(out)[-1]["error"]["message"] == "d must be at least 1"
+    # a usage error before any row, like +-inf
+    for fmt in ("human", "structured"):
+        code, out, err = run(capsys, "estimate", "--model", "iqp-mult", "--weaken", "nan",
+                             "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: --weaken must be finite\n"
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_estimate_negative_infinite_weakening_is_usage_error(capsys, fmt):
+    # "--weaken -inf" would read -inf as an option, so the value is attached
+    code, out, err = run(capsys, "estimate", "--model", "iqp-mult", "--weaken=-inf",
+                         "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: --weaken must be finite\n"
 
 
 @pytest.mark.parametrize("fmt", ["human", "structured"])

@@ -24,14 +24,26 @@ from gapbench import fastcount as fc
 from gapbench.config import CapExceeded
 from gapbench.poly3 import (
     Poly3,
+    gap_bruteforce,
     parse_poly,
     random_poly,
     truth_table,
     zeros_count,
 )
-from gapbench.transform import term_masks
+from gapbench.transform import mobius, term_masks
 
 WORKED_F = parse_poly("x1 + x2 + x1*x2 + x1*x2*x3", 3)
+
+
+# the narrowest unsigned word with at least l bits, at each width boundary
+WORD_OF = {1: np.uint8, 8: np.uint8, 9: np.uint16, 16: np.uint16,
+           17: np.uint32, 32: np.uint32, 33: np.uint64, 62: np.uint64}
+
+
+def amplifier_reference(values, l):
+    """The amplifier's defining formula on Python integers, mod 2^l."""
+    return [(1 - (1 - v) ** l * sum(math.comb(l + j - 1, j) * v**j for j in range(l)))
+            % (1 << l) for v in values]
 
 
 def brute_block_counts(f, t):
@@ -51,7 +63,7 @@ def qhat(f, bits, l):
     """Amplified indicator of f with its last len(bits) variables fixed."""
     m = f.n - len(bits)
     a_mask = sum(b << i for i, b in enumerate(bits))
-    table = fc._int_value_table(term_masks(f.terms), a_mask, m)
+    table = fc._int_value_table(term_masks(f.terms), a_mask, m, fc._word(l))
     return fc.from_values(m, l, fc._qhat_values(table, l))
 
 
@@ -86,6 +98,31 @@ def test_values_roundtrip():
     vals = rng.integers(0, 32, size=1 << 6).astype(np.uint64)
     p = fc.from_values(6, 5, vals)
     assert np.array_equal(fc.eval_all(p), vals)
+
+
+@pytest.mark.parametrize("l", [8, 9, 33])
+def test_from_values_reads_any_integer_table_mod_2l(l):
+    # 300 and -1 fit no uint8, 2^63 + 5 no int64, 2^64 + 5 no word at all
+    raw = [300, -1, -300, 2**40 + 7, 0, 1, 255, 2**62 - 1]
+    signed = np.array(raw, dtype=np.int64)
+    for values in (raw, signed, signed.astype(np.uint64)):
+        p = fc.from_values(3, l, values)
+        assert p.coeffs.dtype == WORD_OF[l]
+        assert fc.eval_all(p).tolist() == [v % (1 << l) for v in raw]
+    for big in (2**63 + 5, 2**64 + 5):
+        assert fc.eval_all(fc.from_values(1, l, [big, 3])).tolist() == [5, 3]
+
+
+@pytest.mark.parametrize("l", [8, 9, 33])
+def test_hand_built_uint64_coefficients_evaluate(l):
+    rng = np.random.default_rng(l)
+    coeffs = rng.integers(0, 2**64, size=1 << 6, dtype=np.uint64)
+    big = coeffs.tolist()
+    vals = fc.eval_all(fc.MultilinearPoly(m=6, l=l, coeffs=coeffs))
+    assert vals.dtype == WORD_OF[l]
+    for y in range(1 << 6):
+        assert int(vals[y]) == sum(big[s] for s in range(1 << 6) if s & ~y == 0) % (1 << l)
+    assert coeffs.tolist() == big  # not mutated
 
 
 def test_validation(monkeypatch):
@@ -135,9 +172,21 @@ def test_amplifier_matches_exact_integer_arithmetic():
     table = rng.integers(0, 2**63, size=64, dtype=np.uint64) * np.uint64(2)
     table[:2] += np.uint64(1)
     for l in (1, 2, 3, 5, 17, 62):
-        want = [(1 - (1 - v) ** l * sum(math.comb(l + j - 1, j) * v**j for j in range(l)))
-                % (1 << l) for v in table.tolist()]
-        assert fc._qhat_values(table, l).tolist() == want
+        assert fc._qhat_values(table, l).tolist() == amplifier_reference(table.tolist(), l)
+
+
+@pytest.mark.parametrize("l", sorted(WORD_OF))
+def test_amplifier_on_every_word_at_each_width_boundary(l):
+    # the same values in each input word; the result is in the narrowest
+    # word with l bits whatever the input word, and the input is unchanged
+    values = np.random.default_rng(l).integers(0, 256, size=300)
+    want = amplifier_reference(values.tolist(), l)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        table = values.astype(dtype)
+        got = fc._qhat_values(table, l)
+        assert got.dtype == WORD_OF[l]
+        assert got.tolist() == want
+        assert table.tolist() == values.tolist()
 
 
 def test_qhat_single_block_example():
@@ -209,6 +258,29 @@ def test_block_counts_match_brute_blocks():
         for t in (1, 3):
             f = random_poly(n, rng)
             assert np.array_equal(fc.eval_all(fc.r_poly(f, t)), brute_block_counts(f, t))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_counts_across_the_uint8_boundary(n):
+    # t = 7 runs in uint8 (l = 8), t = 8 in uint16 (l = 9)
+    rng = np.random.default_rng(200 + n)
+    f = random_poly(n, rng)
+    for t in (7, 8):
+        assert 2 * fc.count_ones_lptwy(f, t) == (1 << n) - gap_bruteforce(f)
+
+
+@pytest.mark.parametrize("l, word", [(2, np.uint8), (9, np.uint16), (17, np.uint32),
+                                     (33, np.uint64)])
+def test_r_poly_coefficients_match_a_uint64_reference(l, word):
+    rng = np.random.default_rng(300 + l)
+    f = random_poly(9, rng)
+    for t in range(1, min(l, 3)):  # 2^l > 2^t
+        ref = brute_block_counts(f, t).astype(np.uint64)
+        mobius(ref)
+        ref &= np.uint64((1 << l) - 1)
+        r = fc.r_poly(f, t, l)
+        assert r.coeffs.dtype == word
+        assert r.coeffs.tolist() == ref.tolist()
 
 
 def test_free_variable_validation():

@@ -446,6 +446,15 @@ class TestJsonFormat:
         with pytest.raises(ValueError):
             from_json_dict({"n": 2, "linear": [5]})
 
+    @pytest.mark.parametrize("doc", [
+        {"n": "3", "linear": [0]}, {"n": True, "linear": [0]}, {"n": 2.0},
+        {"n": 2, "linear": [[0]]}, {"n": 2, "linear": ["0"]}, {"n": 2, "linear": [False]},
+        {"n": 2, "linear": 0}, {"n": 3, "quadratic": [0, 1]}, {"n": 3, "cubic": [[0, 1, 2.0]]},
+    ])
+    def test_json_field_types_validated(self, doc):
+        with pytest.raises(ValueError):
+            from_json_dict(doc)
+
     def test_json_loads_plain_string(self):
         f = loads(json.dumps({"n": 2, "linear": [1], "quadratic": [], "cubic": []}))
         assert f == parse_poly("x2", 2)
