@@ -6,13 +6,13 @@ from gapbench import estimator as es
 
 print("century of 1e18 FLOPS, default constants:")
 for model in es.MODELS:
-    e = es.qubits_for_horizon(es.EstimateParams(model))
+    e = es.estimate(es.EstimateParams(model))
     print(f"  {model:10s} q = {e.q:3d}  elements = "
           f"{es.display_rounded(e.gates):>9s}  log2 bound = {e.log2_bound:.1f}")
 
 print("linear-time simulators, one year per 5 circuit elements:")
 for model in es.MODELS:
-    e = es.qubits_for_gate_linear(es.EstimateParams(model, per_element=True))
+    e = es.estimate(es.EstimateParams(model, per_element=True))
     print(f"  {model:10s} q = {e.q:3d}  elements = {es.display_rounded(e.gates)}")
 
 # how fragile are the counts? halving the constant doubles the qubits,

@@ -556,8 +556,6 @@ def _cmd_estimate(args, out: Output) -> int:
         raise UsageError("--weaken must be finite")
     models = list(estimator.MODELS) if args.model == "all" else [args.model]
     horizon = args.horizon_years * estimator.SECONDS_PER_YEAR
-    run = estimator.qubits_for_gate_linear if args.per_element \
-        else estimator.qubits_for_horizon
     if args.format == "human":
         print(_ESTIMATE_TABLE_HEADER)
     for model in models:
@@ -565,11 +563,12 @@ def _cmd_estimate(args, out: Output) -> int:
             model=model, constant=args.constant, flops=args.flops,
             horizon_seconds=horizon, per_element=args.per_element,
             budget=args.budget)
-        record = run(params).as_record()
+        # a weakening that cannot be computed is refused before the row
+        rep = None if args.weaken is None else estimator.conjecture_weakening(
+            params, args.weaken, args.weaken_mode)
+        record = (rep.base if rep else estimator.estimate(params)).as_record()
         out.emit(record, _estimate_row(record))
-        if args.weaken is not None:
-            rep = estimator.conjecture_weakening(params, args.weaken,
-                                                 args.weaken_mode)
+        if rep:
             out.emit({"weakening": {"d": rep.d, "mode": rep.mode,
                                     "base_q": rep.base.q,
                                     "weakened_q": rep.weakened.q,
@@ -745,7 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=estimator.MODELS + ("all",), required=True)
     p.add_argument("--constant", type=float)
     p.add_argument("--flops", type=float, default=estimator.DEFAULT_FLOPS)
-    p.add_argument("--horizon-years", type=float, default=100.0)
+    p.add_argument("--horizon-years", type=float,
+                   default=estimator.DEFAULT_HORIZON / estimator.SECONDS_PER_YEAR)
     p.add_argument("--per-element", action="store_true")
     p.add_argument("--budget", type=float, default=estimator.DEFAULT_BUDGET)
     p.add_argument("--weaken", type=float, metavar="D")

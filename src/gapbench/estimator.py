@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 
 from .poly3 import max_terms
 
-MODELS = ("iqp-mult", "qaoa-mult", "boson-mult", "iqp-add", "qaoa-add")
-
 # multiplicative-error models carry the exact-computation constant,
 # additive-error models the sampling one; both default to 1/2 except the
 # permanent-based bound which supports 0.999
@@ -26,6 +24,7 @@ DEFAULT_CONSTANTS = {
     "iqp-add": 0.5,
     "qaoa-add": 0.5,
 }
+MODELS = tuple(DEFAULT_CONSTANTS)
 
 SECONDS_PER_YEAR = 365 * 24 * 3600
 DEFAULT_FLOPS = 1e18
@@ -126,10 +125,11 @@ def log2_bound(model: str, constant: float, q: int) -> float:
     return constant * _variables(model, q) - 1
 
 
-def _minimal_q(model: str, constant: float, target: float, mode: str,
-               per_gate: bool) -> Estimate:
-    """Smallest admissible size whose log2 bound, less log2 of its gate
-    count when per_gate, reaches target.
+def estimate(params: EstimateParams) -> Estimate:
+    """Smallest size whose simulation bound exceeds flops * horizon
+    operations or, with per_element, whose bound per circuit element
+    exceeds flops * horizon / budget (e.g. a century per 500 elements,
+    which is one year per 5).
 
     The bound rises by `constant` per variable (a qubit or photon, or a
     qubit pair in the two-copy encoding) and the gate count only grows.
@@ -138,32 +138,29 @@ def _minimal_q(model: str, constant: float, target: float, mode: str,
     to absorb rounding.  Jumping there repeatedly from the smallest size
     lands on the exact minimum in a few rounds.
     """
+    model, constant, per_gate = params.model, params.constant, params.per_element
+    ops = params.flops * params.horizon_seconds
+    if per_gate:
+        ops /= params.budget
+    if not 0 < ops < math.inf:
+        raise ValueError(f"operations target flops * horizon"
+                         f"{' / budget' if per_gate else ''} = {ops:g} must be nonzero and finite")
+    target = math.log2(ops)
     step = 2 if _family(model) == "qaoa" else 1
 
     def gates_log2(q: int) -> float:
         return math.log2(gate_count(model, q)) if per_gate else 0.0
 
     q = step
-    while (value := log2_bound(model, constant, q) - gates_log2(q)) < target:
-        floor_q = (math.ceil((target + 1 + gates_log2(q)) / constant) - 1) * step
-        q = max(q + step, floor_q)
-    return Estimate(model=model, constant=constant, mode=mode, q=q,
-                    gates=gate_count(model, q), log2_bound=value,
-                    log2_target=target)
-
-
-def qubits_for_horizon(params: EstimateParams) -> Estimate:
-    """Smallest size whose simulation bound exceeds flops * horizon ops."""
-    target = math.log2(params.flops * params.horizon_seconds)
-    return _minimal_q(params.model, params.constant, target, "horizon", per_gate=False)
-
-
-def qubits_for_gate_linear(params: EstimateParams) -> Estimate:
-    """Smallest size where simulation ops per circuit element exceed
-    flops * horizon / budget (e.g. a century per 500 elements, which is
-    one year per 5)."""
-    target = math.log2(params.flops * params.horizon_seconds / params.budget)
-    return _minimal_q(params.model, params.constant, target, "per-element", per_gate=True)
+    try:
+        while (value := log2_bound(model, constant, q) - gates_log2(q)) < target:
+            floor_q = (math.ceil((target + 1 + gates_log2(q)) / constant) - 1) * step
+            q = max(q + step, floor_q)
+    except OverflowError:
+        raise ValueError(f"constant {constant:g} is too small for a finite size") from None
+    return Estimate(model=model, constant=constant,
+                    mode="per-element" if per_gate else "horizon", q=q,
+                    gates=gate_count(model, q), log2_bound=value, log2_target=target)
 
 
 @dataclass(frozen=True)
@@ -192,15 +189,20 @@ def conjecture_weakening(params: EstimateParams, d: float, mode: str) -> Weakeni
         raise ValueError("d must be at least 1")
     if not math.isfinite(d):
         raise ValueError("d must be finite")
-    run = qubits_for_gate_linear if params.per_element else qubits_for_horizon
-    base = run(params)
     if mode == "divide-constant":
-        weak = replace(params, constant=params.constant / d)
+        change = {"constant": params.constant / d}
+        cause = f"constant {params.constant:g}/d is too small for a finite size"
     elif mode == "divide-prefactor":
-        weak = replace(params, flops=params.flops * d)
+        change = {"flops": params.flops * d}
+        cause = "no finite size beats d times the operations target"
     else:
         raise ValueError("mode must be divide-constant or divide-prefactor")
-    return WeakeningReport(d=d, mode=mode, base=base, weakened=run(weak))
+    base = estimate(params)
+    try:
+        weakened = estimate(replace(params, **change))
+    except ValueError:
+        raise ValueError(f"weakening by d = {d:g} ({mode}): {cause}") from None
+    return WeakeningReport(d=d, mode=mode, base=base, weakened=weakened)
 
 
 def display_rounded(count: int) -> str:

@@ -188,19 +188,10 @@ def r_poly(f: Poly3, t: int, l: int | None = None) -> MultilinearPoly:
     return from_values(m, l, total)
 
 
-def _exact_sum(values: np.ndarray, l: int) -> int:
-    # chunk so uint64 partial sums cannot wrap
-    room = max(1, (1 << 63) // (1 << l))
-    return sum(
-        int(values[i : i + room].sum()) for i in range(0, len(values), room)
-    )
-
-
 def count_ones_lptwy(f: Poly3, t: int) -> int:
     """Exact number of inputs with f(x) = 1, via per-block residues."""
-    poly = r_poly(f, t)
-    blocks = eval_all(poly)
-    return _exact_sum(blocks, poly.l)
+    # the total is below 2^(n+1), and r_poly caps n well below 63
+    return int(eval_all(r_poly(f, t)).sum(dtype=np.uint64))
 
 
 # -- the monomial-count budget ------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -222,20 +222,14 @@ def count_condition_subspaces(k: int, degree: int) -> int:
         raise ValueError("degree must be 2 or 3")
     if not 1 <= k <= _SUBSPACE_K_CAP:
         raise CapExceeded(f"subspace enumeration needs 1 <= k <= {_SUBSPACE_K_CAP}")
-    pc = np.bitwise_count
     total = 0
     for batch in _rref_bases(k):
         ok = np.ones(batch.shape[0], dtype=bool)
-        if degree == 2:
-            for i in range(k):
-                for j in range(i, k):
-                    ok &= pc((batch[:, i] & batch[:, j]).astype(np.uint64)) % 2 == 0
-        else:
-            for i in range(k):
-                for j in range(i, k):
-                    prod = batch[:, i] & batch[:, j]
-                    for l in range(k):
-                        ok &= pc((prod & batch[:, l]).astype(np.uint64)) % 2 == 0
+        # AND is symmetric, so each product of `degree` basis vectors
+        # needs checking once, in sorted order
+        for cols in combinations_with_replacement(range(k), degree):
+            prod = np.bitwise_and.reduce(batch[:, list(cols)], axis=1)
+            ok &= np.bitwise_count(prod.astype(np.uint64)) % 2 == 0
         total += int(ok.sum())
     return total
 

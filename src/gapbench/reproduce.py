@@ -54,14 +54,13 @@ def run(seed: int = 0, constant: float | None = None) -> list[dict]:
     # estimate table, six rows
     non_default = constant is not None
     all_match = True
-    for mode, estimate in (("horizon", estimator.qubits_for_horizon),
-                           ("per-element", estimator.qubits_for_gate_linear)):
+    for per_element in (False, True):
         for model in ("iqp-mult", "qaoa-mult", "boson-mult"):
-            e = estimate(estimator.EstimateParams(
-                model=model, constant=constant, per_element=(mode == "per-element")))
+            e = estimator.estimate(estimator.EstimateParams(
+                model=model, constant=constant, per_element=per_element))
             records.append({**e.as_record(flagged=non_default),
                             "record": "table", "table": "estimates"})
-            all_match &= e.q == _HEADLINE_EXPECTED[(model, mode)]
+            all_match &= e.q == _HEADLINE_EXPECTED[(model, e.mode)]
     if non_default:
         criterion("estimates", True, skipped=True, reason="non-default constants")
     else:

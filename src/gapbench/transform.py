@@ -91,12 +91,20 @@ def packed_truth_tables(sel: np.ndarray, masks: np.ndarray, n: int) -> np.ndarra
     true.  A mask selected twice cancels mod 2, and mask 0 is the
     constant monomial 1; a row selecting nothing is the zero function.
     """
+    words = np.empty((len(sel), words_for(n)), dtype=np.uint64)
+    return _fill_truth_tables(words, sel, masks, n)
+
+
+def _fill_truth_tables(words: np.ndarray, sel: np.ndarray, masks: np.ndarray,
+                       n: int) -> np.ndarray:
+    # packed_truth_tables(sel, masks, n), written over the C-contiguous
+    # (len(sel), words_for(n)) uint64 buffer words
     by_word = np.argsort(masks >> 6, kind="stable")
     word = masks[by_word] >> 6
     starts = np.flatnonzero(np.diff(word, prepend=-1))
     bits = np.where(sel[:, by_word], np.uint64(1) << (masks[by_word] & 63).astype(np.uint64),
                     np.uint64(0))
-    words = np.zeros((len(sel), words_for(n)), dtype=np.uint64)
+    words.fill(0)
     if len(starts):
         words[:, word[starts]] = np.bitwise_xor.reduceat(bits, starts, axis=1)
     return zeta_gf2(words, n)
@@ -107,14 +115,17 @@ def gaps(sel: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
     that packed_truth_tables(sel, masks, n) describes.
 
     Rows go through in chunks of as many packed tables as fit in
-    _CHUNK_BYTES (at least one), so memory stays bounded at every n.
+    _CHUNK_BYTES (at least one), all built in one reused buffer, so
+    memory stays bounded at every n.
     """
     out = np.empty(len(sel), dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * words_for(n)))
+    buf = np.empty((min(step, len(sel)), words_for(n)), dtype=np.uint64)
     for lo in range(0, len(sel), step):
-        tables = packed_truth_tables(sel[lo : lo + step], masks, n)
+        chunk = sel[lo : lo + step]
+        tables = _fill_truth_tables(buf[: len(chunk)], chunk, masks, n)
         ones = np.bitwise_count(tables).sum(axis=1, dtype=np.int64)
-        out[lo : lo + len(tables)] = (1 << n) - 2 * ones
+        out[lo : lo + len(chunk)] = (1 << n) - 2 * ones
     return out
 
 

@@ -27,9 +27,9 @@ def _ok(num, message):
 
 def test_criterion_01_estimator_headline_counts():
     t0 = time.perf_counter()
-    horizon = {m: es.qubits_for_horizon(es.EstimateParams(m)).q
+    horizon = {m: es.estimate(es.EstimateParams(m)).q
                for m in ("iqp-mult", "qaoa-mult", "boson-mult")}
-    per_elem = {m: es.qubits_for_gate_linear(es.EstimateParams(m, per_element=True)).q
+    per_elem = {m: es.estimate(es.EstimateParams(m, per_element=True)).q
                 for m in ("iqp-mult", "qaoa-mult", "boson-mult")}
     elapsed = time.perf_counter() - t0
     assert horizon == {"iqp-mult": 185, "qaoa-mult": 370, "boson-mult": 93}

@@ -15,7 +15,14 @@ import gapbench.poly3 as poly3
 import gapbench.permanents as pm
 import gapbench.statevector as statevector
 from gapbench import reproduce
-from gapbench.cli import _HANDLERS, _record_line, build_parser, dispatch, main
+from gapbench.cli import (
+    _ESTIMATE_TABLE_HEADER,
+    _HANDLERS,
+    _record_line,
+    build_parser,
+    dispatch,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -906,6 +913,32 @@ def test_estimate_infinite_weakening_is_usage_error(capsys, fmt, mode):
                          "--weaken-mode", mode, "--format", fmt)
     assert (code, out) == (2, "")
     assert err == "error: --weaken must be finite\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--flops", "1e300", "--horizon-years", "1e300"),
+     "operations target flops * horizon = inf must be nonzero and finite"),
+    (("--flops", "1e-300", "--horizon-years", "1e-300"),
+     "operations target flops * horizon = 0 must be nonzero and finite"),
+    (("--per-element", "--budget", "1e300", "--flops", "1e-300"),
+     "operations target flops * horizon / budget = 0 must be nonzero and finite"),
+    (("--constant", "1e-320"), "constant 9.99989e-321 is too small for a finite size"),
+    (("--weaken", "1e308"), "weakening by d = 1e+308 (divide-constant): "
+                            "constant 0.5/d is too small for a finite size"),
+    (("--weaken", "1e300", "--weaken-mode", "divide-prefactor"),
+     "weakening by d = 1e+300 (divide-prefactor): "
+     "no finite size beats d times the operations target"),
+], ids=["target-overflow", "target-underflow", "per-element-underflow",
+        "tiny-constant", "weakened-constant", "weakened-prefactor"])
+def test_estimate_refuses_inputs_with_no_finite_size(capsys, argv, message):
+    # refused in the estimator's words, before the failing model's row
+    code, out, _ = run(capsys, "estimate", "--model", "iqp-mult", *argv,
+                       "--format", "structured")
+    assert code == 1
+    assert records(out) == [{"schema": 1, "error": {"type": "ValueError",
+                                                    "message": message}}]
+    code, out, err = run(capsys, "estimate", "--model", "iqp-mult", *argv)
+    assert (code, out, err) == (1, _ESTIMATE_TABLE_HEADER + "\n", f"error: {message}\n")
 
 
 def test_estimate_human_table(capsys):

@@ -1,6 +1,8 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/, and the README's quick tour, runs
+to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,9 @@ def test_every_demo_exits_zero():
                 proc.kill()
                 proc.wait()
     assert not failed, failed
+
+
+def test_readme_quick_tour_runs():
+    # the one fenced python block in README.md, so a renamed API fails here
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})

@@ -15,10 +15,9 @@ from gapbench.estimator import (
     WeakeningReport,
     conjecture_weakening,
     display_rounded,
+    estimate,
     gate_count,
     log2_bound,
-    qubits_for_gate_linear,
-    qubits_for_horizon,
 )
 from gapbench.poly3 import Poly3, all_terms
 
@@ -147,16 +146,16 @@ def test_dimensional_sanity():
 
 def test_horizon_headline_estimates():
     # a century at 1e18 flops with the default constants
-    assert qubits_for_horizon(EstimateParams(model="iqp-mult")).q == 185
-    assert qubits_for_horizon(EstimateParams(model="qaoa-mult")).q == 370
-    assert qubits_for_horizon(EstimateParams(model="boson-mult")).q == 93
+    assert estimate(EstimateParams(model="iqp-mult")).q == 185
+    assert estimate(EstimateParams(model="qaoa-mult")).q == 370
+    assert estimate(EstimateParams(model="boson-mult")).q == 93
     # additive variants share the constant 1/2 here
-    assert qubits_for_horizon(EstimateParams(model="iqp-add")).q == 185
-    assert qubits_for_horizon(EstimateParams(model="qaoa-add")).q == 370
+    assert estimate(EstimateParams(model="iqp-add")).q == 185
+    assert estimate(EstimateParams(model="qaoa-add")).q == 370
 
 
 def test_horizon_estimate_fields():
-    e = qubits_for_horizon(EstimateParams(model="iqp-mult"))
+    e = estimate(EstimateParams(model="iqp-mult"))
     assert isinstance(e, Estimate)
     assert e.mode == "horizon"
     assert e.gates == 1_055_425
@@ -167,23 +166,23 @@ def test_horizon_estimate_fields():
 def test_horizon_minimality():
     # the bound fails at the next smaller admissible size
     for m in est.MODELS:
-        e = qubits_for_horizon(EstimateParams(model=m))
+        e = estimate(EstimateParams(model=m))
         step = 2 if m.startswith("qaoa") else 1
         assert e.log2_bound >= e.log2_target
         assert log2_bound(m, e.constant, e.q - step) < e.log2_target
 
 
 def test_horizon_monotonic_in_constant():
-    qs = [qubits_for_horizon(EstimateParams(model="iqp-mult", constant=c)).q
+    qs = [estimate(EstimateParams(model="iqp-mult", constant=c)).q
           for c in (0.1, 0.25, 0.5, 0.75, 1.0)]
     assert qs == sorted(qs, reverse=True)
 
 
 def test_horizon_monotonic_in_budget():
-    base = qubits_for_horizon(EstimateParams(model="iqp-mult")).q
-    more_flops = qubits_for_horizon(
+    base = estimate(EstimateParams(model="iqp-mult")).q
+    more_flops = estimate(
         EstimateParams(model="iqp-mult", flops=1e21)).q
-    longer = qubits_for_horizon(
+    longer = estimate(
         EstimateParams(model="iqp-mult",
                        horizon_seconds=1000 * est.SECONDS_PER_YEAR)).q
     assert more_flops >= base
@@ -195,7 +194,7 @@ def test_horizon_scaling_check():
     for m, c in (("iqp-mult", 0.5), ("boson-mult", 0.999)):
         target = math.log2(1e18 * 3_153_600_000)
         expect = math.ceil((target + 1) / c)
-        assert qubits_for_horizon(EstimateParams(model=m)).q == expect
+        assert estimate(EstimateParams(model=m)).q == expect
 
 
 # ----------------------------------------------------- per-element estimates
@@ -203,13 +202,13 @@ def test_horizon_scaling_check():
 
 def test_per_element_headline_estimates():
     # one century per 500 circuit elements (= a year per 5)
-    assert qubits_for_gate_linear(EstimateParams(model="iqp-mult")).q == 208
-    assert qubits_for_gate_linear(EstimateParams(model="qaoa-mult")).q == 420
-    assert qubits_for_gate_linear(EstimateParams(model="boson-mult")).q == 98
+    assert estimate(EstimateParams(model="iqp-mult", per_element=True)).q == 208
+    assert estimate(EstimateParams(model="qaoa-mult", per_element=True)).q == 420
+    assert estimate(EstimateParams(model="boson-mult", per_element=True)).q == 98
 
 
 def test_per_element_fields_and_minimality():
-    e = qubits_for_gate_linear(EstimateParams(model="iqp-mult"))
+    e = estimate(EstimateParams(model="iqp-mult", per_element=True))
     assert e.mode == "per-element"
     assert e.log2_target == pytest.approx(math.log2(6.3072e24), abs=1e-9)
     assert e.log2_bound >= e.log2_target
@@ -221,16 +220,16 @@ def test_per_element_fields_and_minimality():
 def test_per_element_exceeds_horizon_size():
     # charging per element only raises the requirement
     for m in est.MODELS:
-        p = EstimateParams(model=m)
-        assert qubits_for_gate_linear(p).q >= qubits_for_horizon(p).q
+        per_element = estimate(EstimateParams(model=m, per_element=True))
+        assert per_element.q >= estimate(EstimateParams(model=m)).q
 
 
 def test_per_element_budget_direction():
-    lenient = qubits_for_gate_linear(
-        EstimateParams(model="iqp-mult", budget=5000)).q
-    strict = qubits_for_gate_linear(
-        EstimateParams(model="iqp-mult", budget=50)).q
-    base = qubits_for_gate_linear(EstimateParams(model="iqp-mult")).q
+    lenient = estimate(
+        EstimateParams(model="iqp-mult", per_element=True, budget=5000)).q
+    strict = estimate(
+        EstimateParams(model="iqp-mult", per_element=True, budget=50)).q
+    base = estimate(EstimateParams(model="iqp-mult", per_element=True)).q
     assert lenient <= base <= strict
 
 
@@ -250,7 +249,7 @@ def _linear_scan(model, constant, target, mode, per_gate):
 
 
 @pytest.mark.parametrize("per_element", [False, True])
-def test_minimal_q_matches_the_linear_scan(per_element):
+def test_estimate_matches_the_linear_scan(per_element):
     mode = "per-element" if per_element else "horizon"
     # flops of 1e-30 and 1e-10 put the target below zero
     for flops in (1e-30, 1e-10, 1.0, 1e12, 1e18):
@@ -258,15 +257,15 @@ def test_minimal_q_matches_the_linear_scan(per_element):
             for constant in (0.01, 0.0731, 0.25, 0.5, 0.6667, 0.999, 1.0):
                 p = EstimateParams(model=model, constant=constant, flops=flops,
                                    per_element=per_element)
-                got = (qubits_for_gate_linear if per_element else qubits_for_horizon)(p)
+                got = estimate(p)
                 want = _linear_scan(model, constant, got.log2_target, mode, per_element)
                 assert got == want
 
 
-def test_minimal_q_for_a_tiny_constant_is_fast_and_minimal():
+def test_estimate_for_a_tiny_constant_is_fast_and_minimal():
     t0 = time.perf_counter()
-    found = [run(EstimateParams(model=m, constant=1e-6)) for m in est.MODELS
-             for run in (qubits_for_horizon, qubits_for_gate_linear)]
+    found = [estimate(EstimateParams(model=m, constant=1e-6, per_element=per_element))
+             for m in est.MODELS for per_element in (False, True)]
     assert time.perf_counter() - t0 < 1.0
     for e in found:
         def value(q):

@@ -8,6 +8,8 @@ sampler's gap kernel on a coefficient mask, the IQP amplitudes, the cycle-cover 
 and the quasi-average-case oracle recursion against brute force.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from gapbench.poly3 import (
     evaluate,
     gap_bruteforce,
     linear_part,
+    random_poly,
     strip_linear,
     truth_table,
     with_linear,
@@ -72,6 +75,20 @@ def test_gf2_zeta_is_integer_zeta_mod_2_on_a_batch(n):
 def test_gf2_zeta_rejects_wrong_row_length():
     with pytest.raises(ValueError):
         zeta_gf2(np.zeros(2, dtype=np.uint64), 6)
+
+
+@pytest.mark.parametrize("n", [25, 28])
+def test_gap_bruteforce_builds_every_chunk_in_one_buffer(n):
+    # above 2^24 points each table row is a 2 MiB chunk; with its transform
+    # temporary that is 4 MiB, and no earlier chunk may stay alive beside it
+    f = random_poly(n, np.random.default_rng(n))
+    tracemalloc.start()
+    try:
+        gap_bruteforce(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
 
 
 def test_term_masks():
