@@ -111,15 +111,21 @@ def _load_poly(path: str) -> poly3.Poly3:
 def _load_matrix(path: str) -> np.ndarray:
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
-        data = data["matrix"]
-    if not data or not isinstance(data[0], list):
+        data = data.get("matrix")
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValueError(f"{path}: expected a nested array of matrix rows")
+
+    def number(e) -> bool:
+        return isinstance(e, (int, float)) and not isinstance(e, bool)
 
     def entry(e):
         if isinstance(e, list):
-            if len(e) != 2:
+            if len(e) != 2 or not all(number(x) for x in e):
                 raise ValueError("complex entries must be [re, im] pairs")
             return complex(e[0], e[1])
+        if not number(e):
+            raise ValueError(f"{path}: matrix entries must be numbers or [re, im] pairs, "
+                             f"got {json.dumps(e)}")
         return e
 
     rows = [[entry(e) for e in row] for row in data]
@@ -402,14 +408,18 @@ def _cmd_reduce(args, out: Output) -> int:
     return 0
 
 
+def _refuse_sampling_flags(args, where: str) -> None:
+    for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+        if value is not None:
+            raise UsageError(f"{flag} does not apply to {where}: it is exact")
+
+
 def _cmd_stats(args, out: Output) -> int:
     mode = args.mode
     if args.histogram_csv and mode != "moments":
         raise UsageError(f"--histogram-csv does not apply to --mode {mode}")
     if mode in ("subspaces", "masspoly"):
-        for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
-            if value is not None:
-                raise UsageError(f"{flag} does not apply to --mode {mode}: it is exact")
+        _refuse_sampling_flags(args, f"--mode {mode}")
     if mode in ("moments", "promise") and args.samples is not None and args.samples <= 0:
         raise UsageError("--samples must be positive")
     if mode == "moments":
@@ -441,6 +451,8 @@ def _cmd_stats(args, out: Output) -> int:
     elif mode == "promise":
         if args.n is None:
             raise UsageError("--n is required for --mode promise")
+        if args.n <= gapdist._EXACT_N_CAP:
+            _refuse_sampling_flags(args, f"--mode promise at n <= {gapdist._EXACT_N_CAP}")
         if args.samples is not None:
             _require_seed(args, "sampled promise statistics draw random coefficients")
         report = gapdist.promise_stats(args.n, samples=args.samples, seed=args.seed)

@@ -12,13 +12,14 @@ int64 when a product bound certifies that no subset product can
 overflow, summed in slices short enough to stay exact; Python integers
 (numpy object arrays) for the remaining integer matrices; and float64 or
 complex128 for real or complex input.  The kernel sorts rows by the
-halves they touch.  A row wholly in the low half gives a factor that
-does not depend on the high subset and is multiplied in once; a row
-wholly in the high half gives one scalar per high subset, and a high
-subset whose scalar is 0 contributes nothing and is skipped.  Only the
-remaining mixed rows are multiplied per high subset, a batch of high
-subsets at a time, each vector operation sweeping all low subsets of
-one row.  For a dense matrix every row is mixed.
+halves they touch.  The rows wholly in the low half give one factor per
+low subset, which does not depend on the high subset and is multiplied
+in once; the rows wholly in the high half give one scalar per high
+subset.  In both halves a subset whose factor is 0 contributes nothing
+and is skipped.  Only the remaining mixed rows are multiplied per high
+subset, a batch of high subsets at a time, each vector operation
+sweeping the live low subsets of one row.  For a dense matrix every row
+is mixed and every subset live.
 
 A square matrix A with ||A|| <= 1/c embeds in a unitary twice its size
 whose top-left block is cA; preparing one photon in each of the first n
@@ -85,11 +86,10 @@ def permanent_ryser(a):
     complex otherwise.  Cost 2^d products of d row sums.  An integer
     matrix runs in int64 when its product bound certifies that no subset
     product overflows, and in Python integers when it does not.  Rows
-    wholly in one column half are factored out, and the high subsets
-    whose high-only rows sum to 0 are skipped (see the module docstring).
-    In the sparse matrices of the cycle-cover reduction about half the
-    rows lie in one half and more than half of the high subsets are
-    skipped.
+    wholly in one column half are factored out, and in both halves the
+    subsets on which those rows' product is 0 are skipped (see the module
+    docstring).  In the sparse matrices of the cycle-cover reduction most
+    subsets of both halves are skipped.
     """
     rows = _as_square(a)
     d = rows.shape[0] if isinstance(rows, np.ndarray) else len(rows)
@@ -124,8 +124,16 @@ def _parities(count_bits: int) -> np.ndarray:
 
 
 # Each product buffer holds at most this many bytes, so the two stay in
-# cache: 8 high subsets per batch at a 2^12 low half of int64.
+# cache: 8 high subsets per batch at 2^12 live low subsets of int64.
 _BATCH_BYTES = 1 << 18
+
+
+def _live_factor(rows: np.ndarray, cols: range) -> tuple[np.ndarray, np.ndarray]:
+    # The signed product of the rows' sums over each subset of `cols`, kept
+    # only where it is not 0, and the indices of those subsets.
+    factor = _parities(len(cols)) * _subset_row_sums(rows, cols).prod(axis=1)
+    live = np.flatnonzero(factor)
+    return factor[live], live
 
 
 def _ryser(mat: np.ndarray, exact_run: int | None = None):
@@ -136,22 +144,23 @@ def _ryser(mat: np.ndarray, exact_run: int | None = None):
     in_low = mat[:, :h].any(axis=1)
     in_high = mat[:, h:].any(axis=1)
     mixed = in_low & in_high
-    # A row without high columns (a zero row too) gives a factor that does
-    # not depend on the high subset, so it is folded into the signed base
-    # over low subsets.  A row without low columns gives one scalar per
-    # high subset; where that is 0 the whole block is skipped.
-    base = _parities(h) * _subset_row_sums(mat[~in_high], range(h)).prod(axis=1)
-    scale = _parities(d - h) * _subset_row_sums(mat[in_high & ~in_low], range(h, d)).prod(axis=1)
-    low = _subset_row_sums(mat[mixed], range(h)).T.copy()  # one row per mixed row
+    # A row without high columns (a zero row too) gives a factor over low
+    # subsets, the signed base; a row without low columns gives one over
+    # high subsets, the scale.  A subset of either half whose factor is 0
+    # contributes nothing, so only the live subsets are kept.
+    base, low_live = _live_factor(mat[~in_high], range(h))
+    scale, high_live = _live_factor(mat[in_high & ~in_low], range(h, d))
+    width = len(low_live)
+    if not width:  # every term has a zero factor
+        return 0
+    low = _subset_row_sums(mat[mixed], range(h))[low_live].T.copy()  # one row per mixed row
     high = _subset_row_sums(mat[mixed], range(h, d))
-    live = np.flatnonzero(scale)
-    width = 1 << h
-    batch = max(1, min(len(live), _BATCH_BYTES // (mat.itemsize * width)))
+    batch = max(1, min(len(high_live), _BATCH_BYTES // (mat.itemsize * width)))
     prods = np.empty((batch, width), dtype=mat.dtype)
     row_sums = np.empty_like(prods)
     total = 0
-    for k in range(0, len(live), batch):
-        s = live[k : k + batch]
+    for k in range(0, len(high_live), batch):
+        s = high_live[k : k + batch]
         p, r, hs = prods[: len(s)], row_sums[: len(s)], high[s]
         p[:] = base
         for i in range(len(low)):
@@ -162,7 +171,7 @@ def _ryser(mat: np.ndarray, exact_run: int | None = None):
         else:
             runs = np.add.reduceat(p, np.arange(0, width, exact_run), axis=1)
             sums = runs.astype(object).sum(axis=1)
-        total += scale[s] @ sums
+        total += scale[k : k + batch] @ sums
     return total if d % 2 == 0 else -total
 
 

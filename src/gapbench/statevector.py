@@ -297,18 +297,28 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
     return {"q": circuit.q, "gates": gates}
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"circuit JSON {what} must be a list")
+    return value
+
+
 def circuit_from_json_dict(d: dict) -> Circuit:
+    if not isinstance(d, dict):
+        raise ValueError("circuit JSON must be an object")
     if "q" not in d or "gates" not in d:
         raise ValueError("circuit JSON needs 'q' and 'gates'")
     gates = []
-    for rec in d["gates"]:
+    for rec in _json_list(d["gates"], "'gates'"):
+        if not isinstance(rec, dict):
+            raise ValueError("circuit JSON gates must be objects")
         gates.append(
             Gate(
                 kind=rec["kind"],
-                targets=tuple(int(t) for t in rec["targets"]),
+                targets=tuple(int(t) for t in _json_list(rec["targets"], "'targets'")),
                 theta=float(rec.get("theta", 0.0)),
                 beta=float(rec.get("beta", 0.0)),
-                pattern=tuple(int(b) for b in rec.get("pattern", ())),
+                pattern=tuple(int(b) for b in _json_list(rec.get("pattern", []), "'pattern'")),
             )
         )
     return Circuit(q=int(d["q"]), gates=gates)

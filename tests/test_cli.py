@@ -548,6 +548,54 @@ def test_non_finite_complex_output_is_strict_json(capsys, tmp_path):
     assert rec["amplitude"] == ["nan", "nan"] and rec["norm"] == "nan"
 
 
+MATRIX_COMMANDS = [
+    ("permanent", "--matrix", "--method", "ryser"),
+    ("boson-encode", "--matrix"),
+    ("fock-amp", "--unitary", "--in", "1,0", "--out", "1,0"),
+]
+NOT_ROWS = "expected a nested array of matrix rows"
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("text, message", [
+    ("3", NOT_ROWS),
+    ('{"matrix": 3}', NOT_ROWS),
+    ('{"rows": [[1]]}', NOT_ROWS),
+    ("[[1, 2], 3]", NOT_ROWS),
+    ('[[1, 2], "ab"]', NOT_ROWS),
+    ("[[1, null], [3, 4]]", "matrix entries must be numbers or [re, im] pairs, got null"),
+    ("[[1, true], [3, 4]]", "matrix entries must be numbers or [re, im] pairs, got true"),
+    ('[[1, "2"], [3, 4]]', 'matrix entries must be numbers or [re, im] pairs, got "2"'),
+    ("[[1, [0, null]], [3, 4]]", "complex entries must be [re, im] pairs"),
+], ids=["bare-number", "matrix-number", "no-matrix-key", "row-number", "row-string", "null-entry",
+        "bool-entry", "string-entry", "null-in-pair"])
+def test_malformed_matrix_file_is_a_domain_error(capsys, tmp_path, command, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    name, flag, *rest = command
+    code, out, err = run(capsys, name, flag, str(path), *rest, "--format", "structured")
+    assert (code, err) == (1, "")
+    error = records(out)[0]["error"]
+    assert error["type"] == "ValueError" and error["message"].endswith(message)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (3, "circuit JSON must be an object"),
+    ({"q": 2, "gates": 3}, "circuit JSON 'gates' must be a list"),
+    ({"q": 2, "gates": ["h"]}, "circuit JSON gates must be objects"),
+    ({"q": 2, "gates": [{"kind": "h", "targets": 0}]}, "circuit JSON 'targets' must be a list"),
+    ({"q": 2, "gates": [{"kind": "diag_phase", "targets": [0], "pattern": 1}]},
+     "circuit JSON 'pattern' must be a list"),
+], ids=["bare-number", "gates-number", "gate-string", "targets-number", "pattern-number"])
+def test_malformed_circuit_file_is_a_domain_error(capsys, tmp_path, doc, message):
+    circ = tmp_path / "c.json"
+    circ.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", "--circuit", str(circ), "--amplitude", "0",
+                         "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["error"] == {"type": "ValueError", "message": message}
+
+
 def test_boson_encode_refuses_nan_scale(capsys, tmp_path):
     mat = tmp_path / "a.json"
     mat.write_text(json.dumps([[1, 2], [3, 4]]))
@@ -687,6 +735,19 @@ def test_stats_promise_exact(capsys):
     assert rec["exact"]["yes"] == "9949/16384"
     assert rec["exact"]["no"] == "6435/16384"
     assert rec["nonpromise"] == 0.0
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "5"), ("--seed", "1")])
+def test_stats_exact_promise_refuses_sampling_flags(capsys, monkeypatch, flag, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the sampling flags")
+
+    monkeypatch.setattr(gapdist, "promise_stats", no_work)
+    n = gapdist._EXACT_N_CAP
+    code, out, err = run(capsys, "stats", "--mode", "promise", "--n", str(n), flag, value,
+                         "--format", "structured")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} does not apply to --mode promise at n <= {n}: it is exact\n"
 
 
 def test_stats_promise_sampled_needs_seed(capsys):

@@ -1,7 +1,7 @@
 """Gadget-graph reduction tests.
 
 The authoritative gate is the exact identity Per(G_f) = 4^{3m} gap(f)
-over every single-term polynomial on n <= 3 variables; the gadget
+over every single-term polynomial on n <= 5 variables; the gadget
 transcription stands or falls with it.  Local gadget semantics are also
 pinned directly:
 
@@ -67,10 +67,20 @@ def test_reduction_examples():
 
 
 def test_reduction_exhaustive_single_term():
-    # includes instances with unused variables, e.g. x1 over n = 3
-    for f in single_term_polys(3):
+    # includes instances with unused variables, e.g. x1 over n = 5; the
+    # 25 at n = 5 reach d = 24
+    for f in single_term_polys(5):
         check = cc.verify_reduction(f)
         assert check.ok, f"{f}: perm {check.perm} != {check.expected}"
+
+
+def test_reduction_with_free_variables():
+    # x2*x4*x7 over n = 8 leaves five free variables, each doubling the
+    # gap: d = 16 + 3*2 + 5 = 27, and gap = 2^8 - 2*2^5 = 192
+    f = parse_poly("x2*x4*x7", 8)
+    assert cc.node_count(f) == 27
+    check = cc.verify_reduction(f)
+    assert (check.perm, check.expected, check.ok) == (4**3 * 192, 4**3 * 192, True)
 
 
 def test_gate_catches_a_sign_error():

@@ -202,6 +202,35 @@ def test_object_path_matches_the_gray_walk(mat):
     assert pm.permanent_ryser(rows) == gray_ryser(rows)
 
 
+# d = 6 splits into low columns 0-2 and high columns 3-5.  In each matrix
+# one half has a zero factor on every one of its subsets, so the kernel
+# finds no live subset there, and the permanent is 0.  Three nonzero rows
+# whose sums are x_a - x_b, x_a and x_b vanish on every subset of columns
+# a, b, as do zero rows.
+_LOW = [[1, 2, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0]]
+_HIGH = [[0, 0, 0, 1, 0, 2], [0, 0, 0, 0, 1, 1]]
+_MIXED = [[1, 1, 1, 1, 1, 1]]
+_ZERO = [[0] * 6]
+_HALL = [[1, -1, 0], [1, 0, 0], [0, 1, 0]]
+DEAD_HALVES = {
+    "zero-row-first-among-low-only": _ZERO + _LOW + _MIXED + _HIGH,
+    "zero-row-among-high-only": _LOW + _MIXED + _HIGH[:1] + _ZERO + _HIGH[1:],
+    "three-high-only-rows-on-two-columns": [[0, 0, 0] + r for r in _HALL] + _LOW + _MIXED,
+    "three-low-only-rows-on-two-columns": [r + [0, 0, 0] for r in _HALL] + _HIGH + _MIXED,
+}
+
+
+@pytest.mark.parametrize("rows", DEAD_HALVES.values(), ids=DEAD_HALVES)
+def test_a_dead_half_gives_zero_in_every_number_type(rows):
+    assert gray_ryser(rows) == 0
+    mat = np.array(rows, dtype=np.int64)
+    cases = [(mat, int), ([[v * 10**19 for v in r] for r in rows], int),
+             (mat.astype(np.float64), float), (mat * (1 + 1j), complex)]
+    for a, kind in cases:
+        per = pm.permanent_ryser(a)
+        assert per == 0 and type(per) is kind
+
+
 def test_partial_sums_stay_exact_past_int64():
     # Two blocks [[k, -k], [k, -k]] fill the low half of an 8x8 matrix and
     # an identity the high half.  The certified bound k^4 is below 2^62, but
