@@ -706,7 +706,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("permanent", parents=[common],
                        help="matrix permanent")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--method", choices=("naive", "ryser"), required=True)
+    p.add_argument("--method", choices=("naive", "ryser"), required=True,
+                   help="naive: the permutation sum; ryser: one inclusion-exclusion kernel, "
+                        "Ryser's 0/1 subset sums for integer matrices (zero subsets skipped) "
+                        "and Glynn's +-1 sign vectors for real or complex ones, half the "
+                        "terms, so floating results may differ from a Ryser sum in the last bits")
 
     p = sub.add_parser("boson-encode", parents=[common],
                        help="embed a matrix in a unitary whose amplitude is its permanent")

@@ -1,25 +1,35 @@
 """Matrix permanents, contraction dilation, and photonic state amplitudes.
 
 The permanent is computed two ways: a permutation-sum reference
-(factorial cost, small sizes only) and Ryser's inclusion-exclusion over
-all 2^d column subsets.  Ryser splits the columns into a low half of
-ceil(d/2) and a high half and tabulates each row's sum over every subset
-of each half; a subset's row sums are then one low entry plus one high
-entry.
+(factorial cost, small sizes only) and one inclusion-exclusion kernel.
+The kernel splits the columns into a low half of ceil(d/2) and a high
+half and tabulates each row's sum for every subset of each half; a
+term's row sums are then one low entry plus one high entry.  Integer
+input takes Ryser's form, 0/1 sums over all 2^d column subsets.
+Floating input takes Glynn's form (Eur. J. Combin. 2010), +-1 sums over
+the 2^(d-1) sign vectors whose first sign is +1, half of Ryser's terms:
+a half table's entry 0 is minus the row's sum over that half and each
+set bit adds twice its column, and the total is divided by 2^(d-1).
+The two forms round differently, so floating results may differ from a
+Ryser sum in the last bits; a real matrix gives the same result, bit for
+bit, as float64 or as complex128 input.  Integer input keeps Ryser's
+form because its 0/1 sums vanish far more often on sparse matrices,
+which the zero-factor skipping below exploits.
 
-One kernel computes every Ryser permanent, in one of three number types:
-int64 when a product bound certifies that no subset product can
-overflow, summed in slices short enough to stay exact; Python integers
-(numpy object arrays) for the remaining integer matrices; and float64 or
-complex128 for real or complex input.  The kernel sorts rows by the
-halves they touch.  The rows wholly in the low half give one factor per
-low subset, which does not depend on the high subset and is multiplied
-in once; the rows wholly in the high half give one scalar per high
-subset.  In both halves a subset whose factor is 0 contributes nothing
-and is skipped.  Only the remaining mixed rows are multiplied per high
-subset, a batch of high subsets at a time, each vector operation
-sweeping the live low subsets of one row.  For a dense matrix every row
-is mixed and every subset live.
+The kernel runs in one of three number types: int64 when a product bound
+certifies that no subset product can overflow, summed in slices short
+enough to stay exact; Python integers (numpy object arrays) for the
+remaining integer matrices; and float64 or complex128 for real or
+complex input.  The two forms differ only in their half tables, the
+subsets kept and the final division; everything else is shared.  The
+kernel sorts rows by the halves they touch.  The rows wholly in the low
+half give one factor per low subset, which does not depend on the high
+subset and is multiplied in once; the rows wholly in the high half give
+one scalar per high subset.  In both halves a subset whose factor is 0
+contributes nothing and is skipped.  Only the remaining mixed rows are
+multiplied per high subset, a batch of high subsets at a time, each
+vector operation sweeping the live low subsets of one row.  For a dense
+matrix every row is mixed and every subset live.
 
 A square matrix A with ||A|| <= 1/c embeds in a unitary twice its size
 whose top-left block is cA; preparing one photon in each of the first n
@@ -83,13 +93,15 @@ def permanent_ryser(a):
     """Permanent by inclusion-exclusion over column subsets.
 
     Returns an exact int for integer input, a float for real input and a
-    complex otherwise.  Cost 2^d products of d row sums.  An integer
-    matrix runs in int64 when its product bound certifies that no subset
-    product overflows, and in Python integers when it does not.  Rows
-    wholly in one column half are factored out, and in both halves the
-    subsets on which those rows' product is 0 are skipped (see the module
-    docstring).  In the sparse matrices of the cycle-cover reduction most
-    subsets of both halves are skipped.
+    complex otherwise.  Integer input sums Ryser's 2^d products of d 0/1
+    row sums, in int64 when its product bound certifies that no subset
+    product overflows and in Python integers when it does not.  Floating
+    input sums Glynn's 2^(d-1) products of d +-1 row sums in the same
+    kernel, half the terms; its result may differ from Ryser's in the
+    last bits.  Rows wholly in one column half are factored out, and in
+    both halves the subsets on which those rows' product is 0 are skipped
+    (see the module docstring).  In the sparse matrices of the
+    cycle-cover reduction most subsets of both halves are skipped.
     """
     rows = _as_square(a)
     d = rows.shape[0] if isinstance(rows, np.ndarray) else len(rows)
@@ -110,12 +122,29 @@ def permanent_ryser(a):
     return complex(_ryser(mat.astype(np.complex128)))
 
 
-def _subset_row_sums(mat: np.ndarray, cols: range) -> np.ndarray:
-    # table[s] = sum of mat[:, j] over the columns j of `cols` in subset s
+def _subset_row_sums(mat: np.ndarray, cols: range, glynn: bool) -> np.ndarray:
+    # Ryser: table[s] = sum of mat[:, j] over the columns j of `cols` in
+    # subset s.  Glynn: the same sum with sign +1 on the columns in s and -1
+    # on the rest, so entry 0 is minus the whole sum and bit b adds twice
+    # column j.  Entry 0 is summed a column at a time, in the same order
+    # for real and complex input (see _sum).
     table = np.zeros((1 << len(cols), mat.shape[0]), dtype=mat.dtype)
+    if glynn:
+        for j in cols:
+            table[0] -= mat[:, j]
     for b, j in enumerate(cols):
-        table[1 << b : 2 << b] = table[: 1 << b] + mat[:, j]
+        step = 2 * mat[:, j] if glynn else mat[:, j]
+        table[1 << b : 2 << b] = table[: 1 << b] + step
     return table
+
+
+def _sum(x: np.ndarray, axis: int | None = None):
+    # numpy adds complex arrays in another order than real ones; summing the
+    # real and imaginary parts apart keeps the complex permanent of a real
+    # matrix equal to its float permanent, bit for bit.
+    if x.dtype.kind == "c":
+        return x.real.sum(axis) + 1j * x.imag.sum(axis)
+    return x.sum(axis)
 
 
 def _parities(count_bits: int) -> np.ndarray:
@@ -128,18 +157,26 @@ def _parities(count_bits: int) -> np.ndarray:
 _BATCH_BYTES = 1 << 18
 
 
-def _live_factor(rows: np.ndarray, cols: range) -> tuple[np.ndarray, np.ndarray]:
+def _live_factor(rows: np.ndarray, cols: range, glynn: bool,
+                 first_fixed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     # The signed product of the rows' sums over each subset of `cols`, kept
-    # only where it is not 0, and the indices of those subsets.
-    factor = _parities(len(cols)) * _subset_row_sums(rows, cols).prod(axis=1)
+    # only where it is not 0, and the indices of those subsets.  With
+    # `first_fixed` only the subsets holding the first column are kept.
+    factor = _parities(len(cols)) * _subset_row_sums(rows, cols, glynn).prod(axis=1)
+    if first_fixed:
+        factor[::2] = 0
     live = np.flatnonzero(factor)
     return factor[live], live
 
 
 def _ryser(mat: np.ndarray, exact_run: int | None = None):
-    # Ryser's sum in the dtype of `mat`.  An int64 sum of up to `exact_run`
-    # products is exact, so int64 input is summed in runs of that length.
+    # Ryser's sum in the dtype of `mat`, in Glynn's form for float64 and
+    # complex128.  An int64 sum of up to `exact_run` products is exact, so
+    # int64 input is summed in runs of that length.
     d = mat.shape[0]
+    # Glynn's sign vectors fix the sign of column 0 at +1: only the low
+    # subsets holding it are kept, and the sum is 2^(d-1) times Per(A).
+    glynn = mat.dtype.kind in "fc"
     h = (d + 1) // 2
     in_low = mat[:, :h].any(axis=1)
     in_high = mat[:, h:].any(axis=1)
@@ -148,17 +185,19 @@ def _ryser(mat: np.ndarray, exact_run: int | None = None):
     # subsets, the signed base; a row without low columns gives one over
     # high subsets, the scale.  A subset of either half whose factor is 0
     # contributes nothing, so only the live subsets are kept.
-    base, low_live = _live_factor(mat[~in_high], range(h))
-    scale, high_live = _live_factor(mat[in_high & ~in_low], range(h, d))
+    base, low_live = _live_factor(mat[~in_high], range(h), glynn, first_fixed=glynn)
+    scale, high_live = _live_factor(mat[in_high & ~in_low], range(h, d), glynn)
     width = len(low_live)
     if not width:  # every term has a zero factor
         return 0
-    low = _subset_row_sums(mat[mixed], range(h))[low_live].T.copy()  # one row per mixed row
-    high = _subset_row_sums(mat[mixed], range(h, d))
+    low = _subset_row_sums(mat[mixed], range(h), glynn)[low_live].T.copy()  # one row per mixed row
+    high = _subset_row_sums(mat[mixed], range(h, d), glynn)
     batch = max(1, min(len(high_live), _BATCH_BYTES // (mat.itemsize * width)))
     prods = np.empty((batch, width), dtype=mat.dtype)
     row_sums = np.empty_like(prods)
-    total = 0
+    # one sum per live high subset, added up after the last batch, so the
+    # total does not depend on the batch size
+    sums = np.empty(len(high_live), dtype=mat.dtype if exact_run is None else object)
     for k in range(0, len(high_live), batch):
         s = high_live[k : k + batch]
         p, r, hs = prods[: len(s)], row_sums[: len(s)], high[s]
@@ -167,11 +206,13 @@ def _ryser(mat: np.ndarray, exact_run: int | None = None):
             np.add(low[i], hs[:, i : i + 1], out=r)
             np.multiply(p, r, out=p)
         if exact_run is None:
-            sums = p.sum(axis=1)
+            sums[k : k + len(s)] = _sum(p, axis=1)
         else:
             runs = np.add.reduceat(p, np.arange(0, width, exact_run), axis=1)
-            sums = runs.astype(object).sum(axis=1)
-        total += scale[k : k + batch] @ sums
+            sums[k : k + len(s)] = runs.astype(object).sum(axis=1)
+    total = _sum(scale * sums)
+    if glynn:
+        total /= 2 ** (d - 1)
     return total if d % 2 == 0 else -total
 
 

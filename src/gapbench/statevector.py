@@ -303,11 +303,28 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"circuit JSON {what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    return tuple(_json_int(v, f"{what} entry") for v in _json_list(value, what))
+
+
+def _json_number(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"circuit JSON {what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def circuit_from_json_dict(d: dict) -> Circuit:
     if not isinstance(d, dict):
         raise ValueError("circuit JSON must be an object")
     if "q" not in d or "gates" not in d:
         raise ValueError("circuit JSON needs 'q' and 'gates'")
+    q = _json_int(d["q"], "'q'")
     gates = []
     for rec in _json_list(d["gates"], "'gates'"):
         if not isinstance(rec, dict):
@@ -315,13 +332,13 @@ def circuit_from_json_dict(d: dict) -> Circuit:
         gates.append(
             Gate(
                 kind=rec["kind"],
-                targets=tuple(int(t) for t in _json_list(rec["targets"], "'targets'")),
-                theta=float(rec.get("theta", 0.0)),
-                beta=float(rec.get("beta", 0.0)),
-                pattern=tuple(int(b) for b in _json_list(rec.get("pattern", []), "'pattern'")),
+                targets=_json_ints(rec["targets"], "'targets'"),
+                theta=_json_number(rec.get("theta", 0.0), "'theta'"),
+                beta=_json_number(rec.get("beta", 0.0), "'beta'"),
+                pattern=_json_ints(rec.get("pattern", []), "'pattern'"),
             )
         )
-    return Circuit(q=int(d["q"]), gates=gates)
+    return Circuit(q=q, gates=gates)
 
 
 def circuit_dumps(circuit: Circuit) -> str:

@@ -586,7 +586,22 @@ def test_malformed_matrix_file_is_a_domain_error(capsys, tmp_path, command, text
     ({"q": 2, "gates": [{"kind": "h", "targets": 0}]}, "circuit JSON 'targets' must be a list"),
     ({"q": 2, "gates": [{"kind": "diag_phase", "targets": [0], "pattern": 1}]},
      "circuit JSON 'pattern' must be a list"),
-], ids=["bare-number", "gates-number", "gate-string", "targets-number", "pattern-number"])
+    ({"q": None, "gates": []}, "circuit JSON 'q' must be an integer, got null"),
+    ({"q": 2.7, "gates": []}, "circuit JSON 'q' must be an integer, got 2.7"),
+    ({"q": True, "gates": []}, "circuit JSON 'q' must be an integer, got true"),
+    ({"q": 2, "gates": [{"kind": "h", "targets": [None]}]},
+     "circuit JSON 'targets' entry must be an integer, got null"),
+    ({"q": 2, "gates": [{"kind": "h", "targets": [1.9]}]},
+     "circuit JSON 'targets' entry must be an integer, got 1.9"),
+    ({"q": 2, "gates": [{"kind": "diag_phase", "targets": [0], "theta": 1, "pattern": [True]}]},
+     "circuit JSON 'pattern' entry must be an integer, got true"),
+    ({"q": 2, "gates": [{"kind": "xrot", "targets": [0], "beta": None}]},
+     "circuit JSON 'beta' must be a number, got null"),
+    ({"q": 2, "gates": [{"kind": "diag_phase", "targets": [0], "theta": "1", "pattern": [1]}]},
+     "circuit JSON 'theta' must be a number, got \"1\""),
+], ids=["bare-number", "gates-number", "gate-string", "targets-number", "pattern-number",
+        "q-null", "q-float", "q-bool", "target-null", "target-float", "pattern-bool",
+        "beta-null", "theta-string"])
 def test_malformed_circuit_file_is_a_domain_error(capsys, tmp_path, doc, message):
     circ = tmp_path / "c.json"
     circ.write_text(json.dumps(doc))

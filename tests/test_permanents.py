@@ -193,6 +193,47 @@ def test_float_paths_are_exact_on_gaussian_integers(mat):
     assert isinstance(value, complex) and value == (1 + 1j) ** len(mat) * per
 
 
+@st.composite
+def float_matrices(draw, kinds=("real", "complex")):
+    # Floating input takes Glynn's form: the sign of column 0 is fixed and
+    # the columns split at h = ceil(d/2).  Entries lie in [-1, 1]; a zero
+    # first column, a zero row and rows wholly in the low or the high half
+    # are drawn too.
+    d = draw(st.integers(1, 8))
+    h = (d + 1) // 2
+    entries = st.lists(st.floats(-1, 1), min_size=d * d, max_size=d * d)
+    mat = np.array(draw(entries)).reshape(d, d)
+    if draw(st.sampled_from(kinds)) == "complex":
+        mat = mat + 1j * np.array(draw(entries)).reshape(d, d)
+    rows = st.lists(st.integers(0, d - 1), max_size=h)
+    mat[draw(rows), h:] = 0  # wholly in the low half
+    mat[draw(rows), :h] = 0  # wholly in the high half
+    defect = draw(st.sampled_from([None, None, "row", "first-column"]))
+    if defect == "row":
+        mat[draw(st.integers(0, d - 1))] = 0
+    elif defect == "first-column":
+        mat[:, 0] = 0
+    return mat
+
+
+@given(float_matrices())
+@PROPERTY
+def test_glynn_path_matches_the_permutation_sum(mat):
+    per = pm.permanent_naive(mat)
+    value = pm.permanent_ryser(mat)
+    assert type(value) is type(per)
+    assert abs(value - per) <= 1e-9 * max(1.0, abs(per))
+
+
+@given(float_matrices(kinds=("real",)))
+@PROPERTY
+def test_complex_path_of_a_real_matrix_is_the_real_path(mat):
+    real = pm.permanent_ryser(mat)
+    value = pm.permanent_ryser(mat.astype(np.complex128))
+    assert isinstance(real, float) and isinstance(value, complex)
+    assert value.real == real and value.imag == 0
+
+
 @given(int_matrices())
 @PROPERTY
 def test_object_path_matches_the_gray_walk(mat):
