@@ -239,11 +239,14 @@ def _cmd_simulate(args, out: Output) -> int:
     if args.samples is not None:
         seed = _require_seed(args, "sampling draws random outcomes")
     # refuse before simulating: an amplitude needs an index in range, and
-    # the other modes read the whole distribution
+    # the other modes read the whole distribution, and sampling also makes
+    # a --samples-long array
     if args.amplitude is not None:
         statevector.check_index(circ.q, args.amplitude)
     else:
         config.check("DIST_CAP", circ.q, "full_distribution: q")
+        if args.samples is not None:
+            statevector.check_sample_size(args.samples)
     state = statevector.run(circ)
     if args.amplitude is not None:
         amp = statevector.amplitude(state, args.amplitude)

@@ -157,6 +157,19 @@ def _parities(count_bits: int) -> np.ndarray:
 _BATCH_BYTES = 1 << 18
 
 
+def _batch_buffer(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    # An uninitialised buffer that starts on a 64-byte cache line.  The
+    # batch loop's add and multiply run up to 2x slower on buffers that
+    # start mid line, and where numpy puts a buffer depends on the heap's
+    # history, so an unrelated import could move the kernel's run time.
+    if dtype.hasobject:
+        return np.empty(shape, dtype=dtype)
+    size = shape[0] * shape[1] * dtype.itemsize
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(dtype).reshape(shape)
+
+
 def _live_factor(rows: np.ndarray, cols: range, glynn: bool,
                  first_fixed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     # The signed product of the rows' sums over each subset of `cols`, kept
@@ -193,8 +206,8 @@ def _ryser(mat: np.ndarray, exact_run: int | None = None):
     low = _subset_row_sums(mat[mixed], range(h), glynn)[low_live].T.copy()  # one row per mixed row
     high = _subset_row_sums(mat[mixed], range(h, d), glynn)
     batch = max(1, min(len(high_live), _BATCH_BYTES // (mat.itemsize * width)))
-    prods = np.empty((batch, width), dtype=mat.dtype)
-    row_sums = np.empty_like(prods)
+    prods = _batch_buffer((batch, width), mat.dtype)
+    row_sums = _batch_buffer((batch, width), mat.dtype)
     # one sum per live high subset, added up after the last batch, so the
     # total does not depend on the batch size
     sums = np.empty(len(high_live), dtype=mat.dtype if exact_run is None else object)

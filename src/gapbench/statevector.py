@@ -1,17 +1,16 @@
 """Dense state vector simulator, little-endian qubit order.
 
 Basis index x encodes qubit i as bit i (qubit 0 is the least
-significant bit).  Amplitudes live in a complex128 numpy array that is
-mutated in place by gate application; callers own the array while a
-circuit runs.
+significant bit).  Gates mutate a numpy array of amplitudes in place;
+callers own the array while a circuit runs.
 
 Supported gates: h, z, cz, ccz, diag_phase (e^{i*theta} on amplitudes
 whose target bits match a pattern, up to 3 targets), xrot
 (exp(-i*beta*X) on one qubit).
 
-`run` executes the gate stream in three parts, and its final state is
+`run` executes the gate stream in four parts, and its final state is
 byte-identical (`tobytes()`) to applying the gates one at a time with
-the textbook formulas:
+the textbook formulas on a complex128 state:
 
 * Live-prefix first H column.  From |0...0>, while the next gate is h
   on qubit 0, 1, 2, ... in turn, only the prefix that can be nonzero
@@ -27,8 +26,20 @@ the textbook formulas:
   amplitude is multiplied by -1.0 r times, where r <= 3 is the
   smallest count on the same orbit as its hit count k: amplitudes with
   both parts zero repeat with period 3 after one step, all others with
-  period 2 after two.  diag_phase is never fused: its factors differ
+  period 2 after two (on a float64 state r = k % 2: a float has
+  period 2).  diag_phase is never fused: its factors differ
   per gate and the product order changes the rounding.
+* IQP streams in float64.  A stream of h on qubits 0, 1, ..., q-1 in
+  turn, then only z/cz/ccz, then only h (at least one if a sign gate
+  came before) runs on a float64 state, which `run` returns as
+  complex128.  The bytes agree: after the first column every amplitude
+  is the same float m with imaginary part +0.  Sign gates never meet a
+  zero, so the complex products leave each real part at +-m, with
+  imaginary part +0 on negative amplitudes and +-0 on positive ones.
+  The first closing h makes every imaginary part +0, its real parts
+  are the float butterflies, and later h gates keep both.  Without a
+  closing h a -0 imaginary part survives, so such streams, like every
+  other, run in complex128.
 
 `apply_gate` runs the same kernels on a one-gate stream.
 """
@@ -41,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check
+from .config import CapExceeded, check, dist_cap
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -169,18 +180,22 @@ def _count_hits(hits: np.ndarray, q: int, targets) -> None:
 def _flush_signs(state: np.ndarray, hits: np.ndarray) -> None:
     """Multiply each amplitude by -1.0 as often as its hit count says.
 
-    Under repeated multiplication by -1.0 an amplitude with both parts
-    zero repeats with period 3 after one step and any other amplitude
-    with period 2 after two, so k multiplications leave the same bytes
-    as r = min(k, 1 + (k - 1) % 3) or r = min(k, 2 + k % 2) of them,
-    and r <= 3."""
-    steps = np.minimum(hits, 2 + (hits & 1))
-    zero = state == 0
-    if zero.any():
-        k = hits[zero].astype(np.int16)
-        steps[zero] = np.minimum(k, 1 + (k - 1) % 3)
-    for j in (1, 2, 3):
-        np.multiply(state, -1.0, out=state, where=steps >= j)
+    A float repeats with period 2 under multiplication by -1.0, so a
+    float64 state takes one pass over the odd counts.  A complex
+    amplitude with both parts zero repeats with period 3 after one step
+    and any other with period 2 after two, so k multiplications leave
+    the same bytes as r = min(k, 1 + (k - 1) % 3) or r = min(k, 2 + k % 2)
+    of them, and r <= 3."""
+    if state.dtype == np.float64:
+        np.multiply(state, -1.0, out=state, where=(hits & 1).astype(bool))
+    else:
+        steps = np.minimum(hits, 2 + (hits & 1))
+        zero = state == 0
+        if zero.any():
+            k = hits[zero].astype(np.int16)
+            steps[zero] = np.minimum(k, 1 + (k - 1) % 3)
+        for j in (1, 2, 3):
+            np.multiply(state, -1.0, out=state, where=steps >= j)
     hits.fill(0)
 
 
@@ -199,7 +214,7 @@ def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
     """
     kinds = {g.kind for g in gates}
     size = 1 << q if "xrot" in kinds else 1 << (q - 1) if "h" in kinds else 0
-    scratch = np.empty(size, dtype=np.complex128)
+    scratch = np.empty(size, dtype=state.dtype)
     hits = np.zeros(1 << q, dtype=np.uint8) if kinds.intersection(_SIGN_KINDS) else None
     pending = 0
     for gate in gates:
@@ -240,19 +255,39 @@ def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
 
 
 def run(circuit: Circuit) -> np.ndarray:
-    """Run the circuit from |0...0> and return the final amplitudes."""
-    check("SIM_CAP", circuit.q, "run: q")
-    for gate in circuit.gates:
-        _check_targets(gate, circuit.q)
-    state = zero_state(circuit.q)
-    _execute(state, circuit.q, circuit.gates, live=0)
-    return state
+    """Run the circuit from |0...0> and return the final amplitudes.
+
+    The result is a complex128 array whichever dtype the gates ran in."""
+    q, gates = circuit.q, circuit.gates
+    check("SIM_CAP", q, "run: q")
+    for gate in gates:
+        _check_targets(gate, q)
+    # the IQP shape: an H column on 0..q-1, signs, then h alone, with at
+    # least one h if a sign came before (the first closing h clears -0j)
+    kinds = [g.kind for g in gates]
+    end = next((i for i in range(q, len(gates)) if kinds[i] not in _SIGN_KINDS), len(gates))
+    column = [(g.kind, g.targets) for g in gates[:q]] == [("h", (t,)) for t in range(q)]
+    if column and set(kinds[end:]) <= {"h"} and (end == q or end < len(gates)):
+        state = np.zeros(1 << q)
+        state[0] = 1.0
+    else:
+        state = zero_state(q)
+    _execute(state, q, gates, live=0)
+    return state.astype(np.complex128, copy=False)
 
 
 def check_index(q: int, idx: int) -> None:
     """Refuse a basis index outside [0, 2^q)."""
     if not 0 <= idx < 1 << q:
         raise ValueError(f"basis index {idx} out of range")
+
+
+def check_sample_size(size: int) -> None:
+    """Refuse more draws than a 2^n-entry output may hold under the
+    distribution cap."""
+    cap = dist_cap()
+    if size > 1 << cap:
+        raise CapExceeded(f"sample: size = {size} exceeds cap 2^{cap}")
 
 
 def amplitude(state: np.ndarray, idx: int) -> complex:
@@ -268,6 +303,7 @@ def full_distribution(state: np.ndarray) -> np.ndarray:
 
 def sample(state: np.ndarray, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Draw basis indices from the measurement distribution."""
+    check_sample_size(size)
     probs = full_distribution(state)
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):
@@ -329,6 +365,9 @@ def circuit_from_json_dict(d: dict) -> Circuit:
     for rec in _json_list(d["gates"], "'gates'"):
         if not isinstance(rec, dict):
             raise ValueError("circuit JSON gates must be objects")
+        for key in ("kind", "targets"):
+            if key not in rec:
+                raise ValueError(f"circuit JSON gate needs {key!r}")
         gates.append(
             Gate(
                 kind=rec["kind"],

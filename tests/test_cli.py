@@ -350,6 +350,24 @@ def test_simulate_refuses_before_simulating(capsys, monkeypatch, tmp_path, mode)
         "type": "CapExceeded", "message": "full_distribution: q = 10 exceeds cap 6"}
 
 
+def test_simulate_refuses_more_samples_than_the_distribution_cap(capsys, monkeypatch,
+                                                                tmp_path):
+    monkeypatch.setenv("GAPBENCH_DIST_CAP", "6")
+    circ = tmp_path / "c6.json"
+    f = poly3.random_poly(6, np.random.default_rng(6))
+    circ.write_text(statevector.circuit_dumps(circuits.build_iqp(f)))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated a state for a sample the cap refuses")
+
+    monkeypatch.setattr(statevector, "run", no_run)
+    code, out, _ = run(capsys, "simulate", "--circuit", str(circ), "--samples", "65",
+                       "--seed", "1", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "CapExceeded", "message": "sample: size = 65 exceeds cap 2^6"}
+
+
 @pytest.mark.parametrize("samples", ["-1", "-3"])
 def test_simulate_negative_samples_is_usage_error(capsys, cubic_poly, tmp_path, samples):
     circ = tmp_path / "c4.json"
@@ -599,9 +617,11 @@ def test_malformed_matrix_file_is_a_domain_error(capsys, tmp_path, command, text
      "circuit JSON 'beta' must be a number, got null"),
     ({"q": 2, "gates": [{"kind": "diag_phase", "targets": [0], "theta": "1", "pattern": [1]}]},
      "circuit JSON 'theta' must be a number, got \"1\""),
+    ({"q": 2, "gates": [{"targets": [0]}]}, "circuit JSON gate needs 'kind'"),
+    ({"q": 2, "gates": [{"kind": "h"}]}, "circuit JSON gate needs 'targets'"),
 ], ids=["bare-number", "gates-number", "gate-string", "targets-number", "pattern-number",
         "q-null", "q-float", "q-bool", "target-null", "target-float", "pattern-bool",
-        "beta-null", "theta-string"])
+        "beta-null", "theta-string", "kind-missing", "targets-missing"])
 def test_malformed_circuit_file_is_a_domain_error(capsys, tmp_path, doc, message):
     circ = tmp_path / "c.json"
     circ.write_text(json.dumps(doc))

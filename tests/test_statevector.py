@@ -1,14 +1,17 @@
 """Simulator tests against a dense kron-product oracle and, byte for
 byte, against the per-gate formulas."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from gapbench import circuits, poly3
+from gapbench import circuits, poly3, statevector
 from gapbench.config import CapExceeded
 from gapbench.statevector import (
     Circuit,
@@ -222,6 +225,13 @@ class TestCapsAndSerialization:
         with pytest.raises(CapExceeded):
             full_distribution(state)
 
+    def test_sample_size_cap(self, monkeypatch):
+        monkeypatch.setenv("GAPBENCH_DIST_CAP", "6")
+        state = zero_state(2)
+        assert sample(state, np.random.default_rng(0), size=64).shape == (64,)
+        with pytest.raises(CapExceeded, match=r"^sample: size = 65 exceeds cap 2\^6$"):
+            sample(state, np.random.default_rng(0), size=65)
+
     def test_circuit_json_roundtrip(self):
         rng = np.random.default_rng(29)
         gates = [random_gate(rng, 4) for _ in range(15)]
@@ -344,11 +354,10 @@ class TestByteIdentity:
             assert_same_bytes(circuits.build_iqp(poly3.strip_linear(f)))
             assert_same_bytes(circuits.qaoa_to_circuit(circuits.build_qaoa(f)))
 
-    def test_sign_orbits(self):
-        # all 100 pairs of parts from {+-0, +-0.7, +-5e-324, +-inf, +-nan}
-        parts = [0.0, -0.0, 0.7, -0.7, 5e-324, -5e-324, math.inf, -math.inf,
-                 math.nan, -math.nan]
-        classes = np.array([complex(re, im) for re in parts for im in parts])
+    PARTS = [0.0, -0.0, 0.7, -0.7, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan]
+
+    @staticmethod
+    def assert_flush_is_repeated_products(classes):
         with np.errstate(invalid="ignore"):
             for k in range(41):
                 want = classes.copy()
@@ -357,6 +366,90 @@ class TestByteIdentity:
                 got = classes.copy()
                 _flush_signs(got, np.full(got.shape, k, dtype=np.uint8))
                 assert got.tobytes() == want.tobytes(), k
+
+    def test_sign_orbits(self):
+        # all 100 pairs of parts from {+-0, +-0.7, +-5e-324, +-inf, +-nan}
+        self.assert_flush_is_repeated_products(
+            np.array([complex(re, im) for re in self.PARTS for im in self.PARTS]))
+
+    def test_sign_orbits_of_floats(self):
+        self.assert_flush_is_repeated_products(np.array(self.PARTS))
+
+
+# -- IQP streams run in float64 -----------------------------------------------
+
+
+def sign_gates(q):
+    """z, cz or ccz on distinct targets of q qubits."""
+    targets = st.integers(1, min(3, q)).flatmap(
+        lambda k: st.lists(st.integers(0, q - 1), min_size=k, max_size=k, unique=True))
+    return targets.map(lambda t: Gate(SIGNS[len(t) - 1], tuple(t)))
+
+
+@st.composite
+def iqp_streams(draw):
+    """An H column on 0..q-1, up to 600 sign gates drawn from a pool of at
+    most four (so gates repeat and runs pass the 255-hit flush), then 1..2q
+    h gates on any qubits."""
+    q = draw(st.integers(1, 8))
+    pool = draw(st.lists(sign_gates(q), min_size=1, max_size=4))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        len(pool), size=draw(st.integers(0, 600)))
+    tail = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * q))
+    gates = [Gate("h", (t,)) for t in range(q)] + [pool[i] for i in picks]
+    return Circuit(q=q, gates=gates + [Gate("h", (t,)) for t in tail])
+
+
+def run_dtypes(monkeypatch, circuit_list):
+    """The state dtype each run of `circuit_list` executes in."""
+    seen = []
+    execute = statevector._execute
+    monkeypatch.setattr(statevector, "_execute",
+                        lambda state, *a, **k: seen.append(state.dtype) or execute(state, *a, **k))
+    for circuit in circuit_list:
+        assert run(circuit).dtype == np.complex128
+    return seen
+
+
+class TestRealPath:
+    def test_every_small_paper_circuit(self):
+        for n in (1, 2, 3):
+            terms = poly3.all_terms(n)
+            for keep in itertools.product((False, True), repeat=len(terms)):
+                f = poly3.Poly3.from_terms(n, [t for t, k in zip(terms, keep) if k])
+                assert_same_bytes(circuits.build_iqp(f))
+                assert_same_bytes(circuits.build_iqp(poly3.strip_linear(f)))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(iqp_streams())
+    def test_iqp_streams(self, circuit):
+        assert_same_bytes(circuit)
+
+    def test_iqp_streams_take_float64(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        iqp = [circuits.build_iqp(poly3.random_poly(n, rng)) for n in (1, 4, 7)]
+        iqp.append(Circuit(q=3, gates=[Gate("h", (t,)) for t in range(3)]))
+        assert run_dtypes(monkeypatch, iqp) == [np.float64] * 4
+
+    def test_every_other_stream_stays_complex(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        f = poly3.random_poly(4, rng)
+        column = [Gate("h", (t,)) for t in range(4)]
+        signs = [Gate("cz", (0, 2)), Gate("z", (3,))]
+        others = [
+            circuits.qaoa_to_circuit(circuits.build_qaoa(f)),
+            Circuit(q=1, gates=[Gate("h", (0,)), Gate("z", (0,)), Gate("z", (0,))]),
+            Circuit(q=4, gates=column[:3] + signs + column),  # partial column
+            Circuit(q=4, gates=column[::-1] + signs + column),  # out of order
+            Circuit(q=4, gates=column[:2] + signs + column[2:] + column),  # sign inside
+            Circuit(q=4, gates=column + signs),  # no closing h
+            Circuit(q=4, gates=column + signs + column[:1] + signs + column),
+            Circuit(q=4, gates=[]),
+        ]
+        assert run_dtypes(monkeypatch, others) == [np.complex128] * len(others)
+        monkeypatch.undo()
+        for circuit in others:
+            assert_same_bytes(circuit)
 
 
 class TestMemory:
