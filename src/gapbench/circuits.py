@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import check
+from .config import check, check_sample_size
 from .poly3 import Poly3, gap_bruteforce, linear_part, strip_linear, with_linear
 from .statevector import Circuit, Gate, full_distribution, run
 
@@ -329,8 +329,10 @@ def decision_harness(f: Poly3, eps: float, trials: int | None = None,
     """
     if trials is None and f.n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"trials are required beyond {EXHAUSTIVE_LIMIT} variables")
-    if trials is not None and seed is None:
-        raise ValueError("sampled class members need a seed")
+    if trials is not None:
+        if seed is None:
+            raise ValueError("sampled class members need a seed")
+        check_sample_size(trials, "decision_harness: trials")
     thresholds = SgapThresholds.for_n(f.n)
     fbar = strip_linear(f)
 

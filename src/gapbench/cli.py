@@ -246,7 +246,7 @@ def _cmd_simulate(args, out: Output) -> int:
     else:
         config.check("DIST_CAP", circ.q, "full_distribution: q")
         if args.samples is not None:
-            statevector.check_sample_size(args.samples)
+            config.check_sample_size(args.samples, "sample: size")
     state = statevector.run(circ)
     if args.amplitude is not None:
         amp = statevector.amplitude(state, args.amplitude)

@@ -74,7 +74,7 @@ class GapSampler:
     """
 
     def __init__(self, n: int):
-        cap = config.dist_cap()
+        cap = config.cap("DIST_CAP")
         if n < 1 or n > cap:
             raise CapExceeded(f"sampling cap: need 1 <= n <= {cap}, got n={n}")
         self.n = n
@@ -89,6 +89,7 @@ class GapSampler:
         """
         if samples <= 0:
             raise ValueError("samples must be positive")
+        config.check_sample_size(samples, "gaps: samples")
         nshards = -(-samples // _SHARD)
         children = np.random.SeedSequence(seed).spawn(nshards)
         out = np.empty(samples, dtype=np.int64)

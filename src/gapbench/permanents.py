@@ -98,9 +98,10 @@ def permanent_ryser(a):
     product overflows and in Python integers when it does not.  Floating
     input sums Glynn's 2^(d-1) products of d +-1 row sums in the same
     kernel, half the terms; its result may differ from Ryser's in the
-    last bits.  Rows wholly in one column half are factored out, and in
-    both halves the subsets on which those rows' product is 0 are skipped
-    (see the module docstring).  In the sparse matrices of the
+    last bits, and a NaN from finite entries raises OverflowError.  Rows
+    wholly in one column half are factored out, and in both halves the
+    subsets on which those rows' product is 0 are skipped (see the module
+    docstring).  In the sparse matrices of the
     cycle-cover reduction most subsets of both halves are skipped.
     """
     rows = _as_square(a)
@@ -117,9 +118,14 @@ def permanent_ryser(a):
         dtype, run = (np.int64, (1 << 62) // bound) if bound < 1 << 62 else (object, None)
         return int(_ryser(np.array(ints, dtype=dtype), run))
     mat = np.asarray(rows)
-    if np.isrealobj(mat):
-        return float(_ryser(mat.astype(np.float64)))
-    return complex(_ryser(mat.astype(np.complex128)))
+    real = np.isrealobj(mat)
+    mat = mat.astype(np.float64 if real else np.complex128)
+    value = _ryser(mat)
+    # finite entries near the float64 maximum overflow Glynn's doubled
+    # columns (or complex products) to inf - inf = nan
+    if np.isnan(value) and np.isfinite(mat).all():
+        raise OverflowError(f"permanent_ryser: d = {d} overflows float64 on finite entries")
+    return float(value) if real else complex(value)
 
 
 def _subset_row_sums(mat: np.ndarray, cols: range, glynn: bool) -> np.ndarray:

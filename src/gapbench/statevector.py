@@ -20,15 +20,14 @@ the textbook formulas on a complex128 state:
   c*a - (1j*s)*b and (-1j*s)*a + c*b, with the same ufuncs in the same
   order as the formulas, written through one scratch buffer per run:
   half a state for h, a whole one only when an xrot appears.
-* Exact sign runs.  z, cz and ccz each multiply by -1.0, which is not
-  negation on signed zeros, so consecutive sign gates only count hits
-  per amplitude.  At the end of the run (and every 255 gates) each
-  amplitude is multiplied by -1.0 r times, where r <= 3 is the
-  smallest count on the same orbit as its hit count k: amplitudes with
-  both parts zero repeat with period 3 after one step, all others with
-  period 2 after two (on a float64 state r = k % 2: a float has
-  period 2).  diag_phase is never fused: its factors differ
-  per gate and the product order changes the rounding.
+* Sign runs.  z, cz and ccz multiply by -1.0 on their all-ones
+  pattern.  On a float64 state -1.0 has period 2, so each sign gate
+  only flips a parity bit per amplitude, and before any other gate and
+  at the end of the run the amplitudes whose bit is set are multiplied
+  by -1.0 once.  On a complex128 state -1.0 is not negation on signed
+  zeros, so each sign gate is the textbook multiply, like diag_phase.
+  diag_phase is never fused: its factors differ per gate and the
+  product order changes the rounding.
 * IQP streams in float64.  A stream of h on qubits 0, 1, ..., q-1 in
   turn, then only z/cz/ccz, then only h (at least one if a sign gate
   came before) runs on a float64 state, which `run` returns as
@@ -52,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import CapExceeded, check, dist_cap
+from .config import check, check_sample_size
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -113,8 +112,7 @@ def zero_state(q: int) -> np.ndarray:
 
 
 _SIGN_KINDS = ("z", "cz", "ccz")
-_MAX_HITS = 255  # a sign run flushes before its uint8 hit counters can wrap
-_HIT_ROW = 8  # hit counters are added in contiguous rows of 2^8 (low qubits)
+_PARITY_ROW = 8  # parity bits are flipped in contiguous rows of 2^8 (low qubits)
 
 
 def _pattern_index(q: int, targets, pattern) -> tuple:
@@ -159,44 +157,28 @@ def _xrot(state: np.ndarray, t: int, beta: float, scratch: np.ndarray) -> None:
     a[...] = u
 
 
-def _diag_phase(state: np.ndarray, q: int, gate: Gate) -> None:
-    index = _pattern_index(q, gate.targets, gate.pattern)
-    state.reshape((2,) * q)[index] *= np.exp(1j * gate.theta)
+def _scale_pattern(state: np.ndarray, q: int, targets, pattern, factor) -> None:
+    state.reshape((2,) * q)[_pattern_index(q, targets, pattern)] *= factor
 
 
-def _count_hits(hits: np.ndarray, q: int, targets) -> None:
-    """Add 1 to the counter of every amplitude whose targets are all 1.
+def _flip_parity(parity: np.ndarray, q: int, targets) -> None:
+    """Flip the parity bit of every amplitude whose targets are all 1.
 
-    Targets below the row length become a 0/1 pattern added along each
-    row, so every add runs over contiguous rows of 2^8 counters."""
-    low = min(q, _HIT_ROW)
+    Targets below the row length become a 0/1 pattern XORed along each
+    row, so every XOR runs over contiguous rows of 2^8 bits."""
+    low = min(q, _PARITY_ROW)
     mask = sum(1 << t for t in targets if t < low)
     high = [t - low for t in targets if t >= low]
-    rows = hits.reshape((2,) * (q - low) + (1 << low,))
+    rows = parity.reshape((2,) * (q - low) + (1 << low,))
     rows = rows[_pattern_index(q - low, high, (1,) * len(high))]
-    np.add(rows, (np.arange(1 << low) & mask) == mask, out=rows)
+    rows ^= (np.arange(1 << low) & mask) == mask
 
 
-def _flush_signs(state: np.ndarray, hits: np.ndarray) -> None:
-    """Multiply each amplitude by -1.0 as often as its hit count says.
-
-    A float repeats with period 2 under multiplication by -1.0, so a
-    float64 state takes one pass over the odd counts.  A complex
-    amplitude with both parts zero repeats with period 3 after one step
-    and any other with period 2 after two, so k multiplications leave
-    the same bytes as r = min(k, 1 + (k - 1) % 3) or r = min(k, 2 + k % 2)
-    of them, and r <= 3."""
-    if state.dtype == np.float64:
-        np.multiply(state, -1.0, out=state, where=(hits & 1).astype(bool))
-    else:
-        steps = np.minimum(hits, 2 + (hits & 1))
-        zero = state == 0
-        if zero.any():
-            k = hits[zero].astype(np.int16)
-            steps[zero] = np.minimum(k, 1 + (k - 1) % 3)
-        for j in (1, 2, 3):
-            np.multiply(state, -1.0, out=state, where=steps >= j)
-    hits.fill(0)
+def _flush_signs(state: np.ndarray, parity: np.ndarray) -> None:
+    """Multiply a float64 state by -1.0 where the parity is set, and
+    clear it: a float repeats with period 2 under that product."""
+    np.multiply(state, -1.0, out=state, where=parity)
+    parity.fill(False)
 
 
 def _check_targets(gate: Gate, q: int) -> None:
@@ -215,20 +197,21 @@ def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
     kinds = {g.kind for g in gates}
     size = 1 << q if "xrot" in kinds else 1 << (q - 1) if "h" in kinds else 0
     scratch = np.empty(size, dtype=state.dtype)
-    hits = np.zeros(1 << q, dtype=np.uint8) if kinds.intersection(_SIGN_KINDS) else None
-    pending = 0
+    real = state.dtype == np.float64
+    parity = np.zeros(1 << q, dtype=bool) if real and kinds.intersection(_SIGN_KINDS) else None
+    pending = False
     for gate in gates:
         if gate.kind in _SIGN_KINDS:
             live = q
-            _count_hits(hits, q, gate.targets)
-            pending += 1
-            if pending == _MAX_HITS:
-                _flush_signs(state, hits)
-                pending = 0
+            if real:
+                _flip_parity(parity, q, gate.targets)
+                pending = True
+            else:
+                _scale_pattern(state, q, gate.targets, (1,) * len(gate.targets), -1.0)
             continue
         if pending:
-            _flush_signs(state, hits)
-            pending = 0
+            _flush_signs(state, parity)
+            pending = False
         t = gate.targets[0]
         if gate.kind == "h" and t == live:
             live += 1
@@ -240,9 +223,9 @@ def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
         elif gate.kind == "xrot":
             _xrot(state, t, gate.beta, scratch)
         else:
-            _diag_phase(state, q, gate)
+            _scale_pattern(state, q, gate.targets, gate.pattern, np.exp(1j * gate.theta))
     if pending:
-        _flush_signs(state, hits)
+        _flush_signs(state, parity)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
@@ -282,14 +265,6 @@ def check_index(q: int, idx: int) -> None:
         raise ValueError(f"basis index {idx} out of range")
 
 
-def check_sample_size(size: int) -> None:
-    """Refuse more draws than a 2^n-entry output may hold under the
-    distribution cap."""
-    cap = dist_cap()
-    if size > 1 << cap:
-        raise CapExceeded(f"sample: size = {size} exceeds cap 2^{cap}")
-
-
 def amplitude(state: np.ndarray, idx: int) -> complex:
     check_index(state.shape[0].bit_length() - 1, idx)
     return complex(state[idx])
@@ -303,7 +278,7 @@ def full_distribution(state: np.ndarray) -> np.ndarray:
 
 def sample(state: np.ndarray, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Draw basis indices from the measurement distribution."""
-    check_sample_size(size)
+    check_sample_size(size, "sample: size")
     probs = full_distribution(state)
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ def strict_records(out_text):
     # json.loads accepts NaN and Infinity unless told to refuse them
     return [json.loads(line, parse_constant=refuse_constant)
             for line in out_text.splitlines() if line]
+
+
+def refuse_draws(monkeypatch):
+    # a count past the cap must be refused before any random number is
+    # drawn, so before any array of that length is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew random numbers for a count the cap refuses")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+def cap_error(label, count):
+    return {"type": "CapExceeded",
+            "message": f"{label} = {count} exceeds cap 2^{config.cap('DIST_CAP')}"}
 
 
 @pytest.fixture
@@ -517,6 +533,15 @@ def test_harness_nonpositive_trials_is_usage_error(capsys, cubic_poly, trials):
     assert err == "error: --trials must be positive\n"
 
 
+def test_harness_refuses_trials_beyond_the_cap_before_allocating(capsys, monkeypatch,
+                                                               cubic_poly):
+    refuse_draws(monkeypatch)
+    code, out, _ = run(capsys, "harness-a", "--poly", cubic_poly, "--epsilon", "0.01",
+                       "--seed", "1", "--trials", "2000000000", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == cap_error("decision_harness: trials", 2000000000)
+
+
 @pytest.mark.parametrize("epsilon", ["inf", "nan"])
 def test_harness_non_finite_epsilon_is_usage_error(capsys, cubic_poly, epsilon):
     code, out, err = run(capsys, "harness-a", "--poly", cubic_poly,
@@ -546,6 +571,18 @@ def test_permanent_complex_entry_format(capsys, tmp_path):
     value = records(out)[0]["permanent"]
     # per = (i)(-i) + (1)(1) = 2
     assert abs(value[0] - 2.0) < 1e-12 and abs(value[1]) < 1e-12
+
+
+def test_permanent_ryser_overflow_on_finite_entries_exits_1(capsys, tmp_path):
+    # Glynn's doubled columns overflow to inf - inf = nan; the permutation
+    # sum gives inf, and Ryser must not print nan with exit 0
+    path = tmp_path / "big.json"
+    path.write_text("[[1e308, 1e308], [1e308, 1e308]]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(capsys, "permanent", "--matrix", str(path),
+                           "--method", "ryser", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"]["type"] == "OverflowError"
 
 
 def test_non_finite_complex_output_is_strict_json(capsys, tmp_path):
@@ -810,6 +847,24 @@ def test_stats_nonpositive_samples_is_usage_error(capsys, monkeypatch, tmp_path,
     assert (code, out) == (2, "")
     assert err == "error: --samples must be positive\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stats_refuses_an_astronomical_sample_count_within_a_second(capsys, monkeypatch):
+    refuse_draws(monkeypatch)
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "stats", "--mode", "moments", "--n", "6", "--k", "1",
+                       "--samples", str(10**20), "--seed", "1", "--format", "structured")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert records(out)[0]["error"] == cap_error("gaps: samples", 10**20)
+
+
+def test_stats_refuses_a_sample_count_beyond_the_cap_before_allocating(capsys, monkeypatch):
+    refuse_draws(monkeypatch)
+    code, out, _ = run(capsys, "stats", "--mode", "moments", "--n", "6", "--k", "1",
+                       "--samples", "2000000000", "--seed", "1", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == cap_error("gaps: samples", 2000000000)
 
 
 def test_stats_subspaces(capsys):
@@ -1177,16 +1232,16 @@ def test_timings_flag_appends_record(capsys, paper_poly):
 
 def test_cap_override_is_clamped_to_its_ceiling(monkeypatch):
     monkeypatch.setenv("GAPBENCH_BRUTE_CAP", "99")
-    assert config.brute_cap() == 32
+    assert config.cap("BRUTE_CAP") == 32
     monkeypatch.setenv("GAPBENCH_BRUTE_CAP", "12")
-    assert config.brute_cap() == 12
+    assert config.cap("BRUTE_CAP") == 12
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
 def test_malformed_cap_override_raises(monkeypatch, raw):
     monkeypatch.setenv("GAPBENCH_BRUTE_CAP", raw)
     with pytest.raises(ValueError, match="GAPBENCH_BRUTE_CAP"):
-        config.brute_cap()
+        config.cap("BRUTE_CAP")
 
 
 def test_malformed_cap_is_a_domain_error_only_where_read(capsys, monkeypatch,

@@ -290,6 +290,16 @@ def test_huge_entries_stay_exact():
     assert pm.permanent_ryser(mat) == oracle_permanent(mat)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_glynn_overflow_on_finite_entries_raises(dtype):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match="overflow"):
+            pm.permanent_ryser(np.full((2, 2), 1e308, dtype=dtype))
+        # real entries that overflow only the products give inf by both methods
+        huge = np.full((2, 2), 1e200)
+        assert pm.permanent_ryser(huge) == pm.permanent_naive(huge) == math.inf
+
+
 def test_caps(monkeypatch):
     with pytest.raises(CapExceeded):
         pm.permanent_naive(np.zeros((11, 11), dtype=np.int64))

@@ -342,8 +342,9 @@ class TestByteIdentity:
             body = [sign_gate(rng, q) for _ in range(length)]
             tail = [Gate("h", (t,)) for t in range(q)]
             assert_same_bytes(Circuit(q=q, gates=head + body + tail))
-            # from |0...0> every amplitude but one stays a signed zero, whose
-            # sign shows how many flips it took (period 3)
+            # from |0...0> every amplitude but one stays a signed zero, and
+            # its bytes depend on the number of complex products, not only
+            # on its parity
             assert_same_bytes(Circuit(q=q, gates=body))
 
     def test_paper_circuits(self):
@@ -354,26 +355,21 @@ class TestByteIdentity:
             assert_same_bytes(circuits.build_iqp(poly3.strip_linear(f)))
             assert_same_bytes(circuits.qaoa_to_circuit(circuits.build_qaoa(f)))
 
-    PARTS = [0.0, -0.0, 0.7, -0.7, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan]
-
-    @staticmethod
-    def assert_flush_is_repeated_products(classes):
+    def test_sign_orbits_of_floats(self):
+        # k products by -1.0 equal one flush of the parity k % 2, on every
+        # class of float: +-0, +-0.7, +-5e-324, +-inf, +-nan
+        parts = np.array([0.0, -0.0, 0.7, -0.7, 5e-324, -5e-324, math.inf, -math.inf,
+                          math.nan, -math.nan])
         with np.errstate(invalid="ignore"):
             for k in range(41):
-                want = classes.copy()
+                want = parts.copy()
                 for _ in range(k):
                     want *= -1.0
-                got = classes.copy()
-                _flush_signs(got, np.full(got.shape, k, dtype=np.uint8))
+                got = parts.copy()
+                parity = np.full(got.shape, k % 2 == 1)
+                _flush_signs(got, parity)
                 assert got.tobytes() == want.tobytes(), k
-
-    def test_sign_orbits(self):
-        # all 100 pairs of parts from {+-0, +-0.7, +-5e-324, +-inf, +-nan}
-        self.assert_flush_is_repeated_products(
-            np.array([complex(re, im) for re in self.PARTS for im in self.PARTS]))
-
-    def test_sign_orbits_of_floats(self):
-        self.assert_flush_is_repeated_products(np.array(self.PARTS))
+                assert not parity.any()
 
 
 # -- IQP streams run in float64 -----------------------------------------------
@@ -389,7 +385,7 @@ def sign_gates(q):
 @st.composite
 def iqp_streams(draw):
     """An H column on 0..q-1, up to 600 sign gates drawn from a pool of at
-    most four (so gates repeat and runs pass the 255-hit flush), then 1..2q
+    most four (so gates repeat and their parities cancel), then 1..2q
     h gates on any qubits."""
     q = draw(st.integers(1, 8))
     pool = draw(st.lists(sign_gates(q), min_size=1, max_size=4))
