@@ -108,7 +108,9 @@ def _load_poly(path: str) -> poly3.Poly3:
     return poly3.parse_poly(text, max(indices))
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str) -> list:
+    # The file's rows, [re, im] pairs read as complex numbers.  Only the JSON
+    # is checked here: permanents checks the shape and picks the number type.
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         data = data.get("matrix")
@@ -128,21 +130,7 @@ def _load_matrix(path: str) -> np.ndarray:
                              f"got {json.dumps(e)}")
         return e
 
-    rows = [[entry(e) for e in row] for row in data]
-    flat = [e for row in rows for e in row]
-    if all(isinstance(e, int) for e in flat):
-        return np.array(rows, dtype=np.int64)
-    if any(isinstance(e, complex) for e in flat):
-        return np.array(rows, dtype=np.complex128)
-    return np.array(rows, dtype=np.float64)
-
-
-def _matrix_json(a: np.ndarray) -> list:
-    if np.iscomplexobj(a):
-        return [[[float(e.real), float(e.imag)] for e in row] for row in a]
-    if np.issubdtype(a.dtype, np.integer):
-        return [[int(e) for e in row] for row in a]
-    return [[float(e) for e in row] for row in a]
+    return [[entry(e) for e in row] for row in data]
 
 
 def _parse_occupancy(text: str) -> tuple[int, ...]:
@@ -342,12 +330,12 @@ def _cmd_harness_a(args, out: Output) -> int:
 
 
 def _cmd_permanent(args, out: Output) -> int:
-    a = _load_matrix(args.matrix)
+    rows = _load_matrix(args.matrix)
     if args.method == "naive":
-        value = permanents.permanent_naive(a)
+        value = permanents.permanent_naive(rows)
     else:
-        value = permanents.permanent_ryser(a)
-    record = {"method": args.method, "dimension": int(a.shape[0]), "permanent": value}
+        value = permanents.permanent_ryser(rows)
+    record = {"method": args.method, "dimension": len(rows), "permanent": value}
     if isinstance(value, complex):
         human = f"per = {value.real:+.10f}{value.imag:+.10f}j"
     else:
@@ -357,8 +345,7 @@ def _cmd_permanent(args, out: Output) -> int:
 
 
 def _cmd_boson_encode(args, out: Output) -> int:
-    a = _load_matrix(args.matrix).astype(np.complex128)
-    enc = permanents.encode_permanent(a, c=args.scale)
+    enc = permanents.encode_permanent(_load_matrix(args.matrix), c=args.scale)
     dil = enc.dilation
     record = {
         "dimension": dil.n,
@@ -373,7 +360,7 @@ def _cmd_boson_encode(args, out: Output) -> int:
         record["scale_check"] = abs(dil.default_scale - dil.scale)
     if args.emit_unitary:
         Path(args.emit_unitary).write_text(
-            json.dumps(_matrix_json(dil.unitary), sort_keys=True))
+            json.dumps(_jsonable(dil.unitary), sort_keys=True))
         record["emitted"] = args.emit_unitary
     out.emit(record, f"scale = {dil.scale:.6f}, defect = {record['unitarity_defect']:.3e}, "
                      f"amplitude = {enc.amplitude.real:+.8f}{enc.amplitude.imag:+.8f}j")
@@ -381,10 +368,10 @@ def _cmd_boson_encode(args, out: Output) -> int:
 
 
 def _cmd_fock_amp(args, out: Output) -> int:
-    u = _load_matrix(args.unitary).astype(np.complex128)
+    rows = _load_matrix(args.unitary)
     occ_in = _parse_occupancy(args.occ_in)
     occ_out = _parse_occupancy(args.occ_out)
-    amp = permanents.fock_amplitude(u, occ_in, occ_out)
+    amp = permanents.fock_amplitude(rows, occ_in, occ_out)
     record = {"amplitude": amp, "occ_in": occ_in, "occ_out": occ_out,
               "photons": sum(occ_in)}
     out.emit(record, f"amplitude = {amp.real:+.10f}{amp.imag:+.10f}j")

@@ -52,35 +52,27 @@ _HERM_TOL = 1e-10
 _UNITARY_TOL = 1e-8
 
 
-def _is_integer_matrix(a) -> bool:
-    if isinstance(a, np.ndarray):
-        return a.dtype.kind in "iu" or (
-            a.dtype.kind == "O" and all(isinstance(v, int) for v in a.flat)
-        )
-    return all(isinstance(v, int) for row in a for v in row)
+def _square(a) -> np.ndarray:
+    """`a` as a square 2-D array: the entry check of every square-matrix routine.
 
-
-def _as_square(a):
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        return a
-    rows = [list(r) for r in a]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("need a square matrix")
-    return rows
+    Arrays pass as they are.  Nested sequences become an object array of
+    their entries, so Python integers of any size stay exact.
+    """
+    if not isinstance(a, np.ndarray):
+        # ragged rows give a 1-D array of lists; no rows give a 0 x 0 matrix
+        a = np.array([list(r) for r in a] or np.empty((0, 0)), dtype=object)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    return a
 
 
 def permanent_naive(a):
     """Permanent by summing over all permutations.  Reference oracle."""
-    rows = _as_square(a)
-    d = len(rows) if not isinstance(rows, np.ndarray) else rows.shape[0]
+    mat = _square(a)
+    d = mat.shape[0]
     check("NAIVE_CAP", d, "permanent_naive: d")
-    if d == 0:
-        return 1
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    total = 0
+    rows = mat.tolist()
+    total = 0  # d = 0 has one permutation, the empty one
     for perm in itertools.permutations(range(d)):
         prod = 1
         for i, j in enumerate(perm):
@@ -92,7 +84,8 @@ def permanent_naive(a):
 def permanent_ryser(a):
     """Permanent by inclusion-exclusion over column subsets.
 
-    Returns an exact int for integer input, a float for real input and a
+    Returns an exact int for integer entries (an int, uint or bool array,
+    or Python ints of any size), a float for other real entries and a
     complex otherwise.  Integer input sums Ryser's 2^d products of d 0/1
     row sums, in int64 when its product bound certifies that no subset
     product overflows and in Python integers when it does not.  Floating
@@ -101,28 +94,32 @@ def permanent_ryser(a):
     last bits, and a NaN from finite entries raises OverflowError.  Rows
     wholly in one column half are factored out, and in both halves the
     subsets on which those rows' product is 0 are skipped (see the module
-    docstring).  In the sparse matrices of the
-    cycle-cover reduction most subsets of both halves are skipped.
+    docstring); in the sparse matrices of the cycle-cover reduction most
+    subsets of both halves are skipped.
     """
-    rows = _as_square(a)
-    d = rows.shape[0] if isinstance(rows, np.ndarray) else len(rows)
+    mat = _square(a)
+    d = mat.shape[0]
     check("RYSER_CAP", d, "permanent_ryser: d")
     if d == 0:
         return 1
-    if _is_integer_matrix(rows):
-        ints = [[int(v) for v in r] for r in (rows.tolist() if isinstance(rows, np.ndarray) else rows)]
+    # the number type: Python entries by their types, arrays by their dtype
+    kind = np.result_type(*({type(v) for v in mat.flat} if mat.dtype == object
+                            else {mat.dtype})).kind
+    if kind in "biu":
+        ints = [[int(v) for v in r] for r in mat.tolist()]
         # certify that every subset product fits comfortably in int64: a
         # row's sum over any subset lies between its negative and positive sums
         bound = math.prod(max(sum(v for v in r if v > 0), -sum(v for v in r if v < 0), 1)
                           for r in ints)
         dtype, run = (np.int64, (1 << 62) // bound) if bound < 1 << 62 else (object, None)
         return int(_ryser(np.array(ints, dtype=dtype), run))
-    mat = np.asarray(rows)
-    real = np.isrealobj(mat)
+    real = kind == "f"
     mat = mat.astype(np.float64 if real else np.complex128)
-    value = _ryser(mat)
     # finite entries near the float64 maximum overflow Glynn's doubled
-    # columns (or complex products) to inf - inf = nan
+    # columns (or complex products) to inf - inf = nan, reported below
+    # rather than as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _ryser(mat)
     if np.isnan(value) and np.isfinite(mat).all():
         raise OverflowError(f"permanent_ryser: d = {d} overflows float64 on finite entries")
     return float(value) if real else complex(value)
@@ -248,9 +245,7 @@ def spectral_norm(a) -> float:
 
 def herm_eig(h):
     """Eigendecomposition of a Hermitian matrix (validated within _HERM_TOL)."""
-    mat = np.asarray(h, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("need a square matrix")
+    mat = np.asarray(_square(h), dtype=np.complex128)
     if not np.max(np.abs(mat - mat.conj().T)) <= _HERM_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh(mat)
@@ -288,9 +283,7 @@ def dilate(a, c: float | None = None) -> Dilation:
     Requires c * ||A|| strictly below 1 so the defect blocks stay
     invertible; the default c = 1/(2 max(1, ||A||)) always qualifies.
     """
-    mat = np.asarray(a, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("need a square matrix")
+    mat = np.asarray(_square(a), dtype=np.complex128)
     n = mat.shape[0]
     norm = spectral_norm(mat)
     if c is None:
@@ -329,9 +322,7 @@ def fock_amplitude(u, occ_in, occ_out) -> complex:
     where U_(R,R') repeats row i occ_in[i] times and column j occ_out[j]
     times.  Photon numbers must agree.
     """
-    mat = np.asarray(u, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("need a square matrix")
+    mat = np.asarray(_square(u), dtype=np.complex128)
     if not unitarity_defect(mat) <= _UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     m = mat.shape[0]

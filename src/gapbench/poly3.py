@@ -221,7 +221,8 @@ def random_poly(n: int, rng: np.random.Generator) -> Poly3:
     """Uniform draw over all 2^((n^3+5n)/6) polynomials on n variables."""
     terms = all_terms(n)
     take = rng.integers(0, 2, size=len(terms), dtype=np.uint8)
-    return Poly3.from_terms(n, [t for t, keep in zip(terms, take) if keep])
+    # all_terms is canonical, so the kept terms need no sorting
+    return Poly3(n, tuple(t for t, keep in zip(terms, take) if keep))
 
 
 # -- text format ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -578,11 +579,48 @@ def test_permanent_ryser_overflow_on_finite_entries_exits_1(capsys, tmp_path):
     # sum gives inf, and Ryser must not print nan with exit 0
     path = tmp_path / "big.json"
     path.write_text("[[1e308, 1e308], [1e308, 1e308]]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = run(capsys, "permanent", "--matrix", str(path),
-                           "--method", "ryser", "--format", "structured")
+    code, out, _ = run(capsys, "permanent", "--matrix", str(path),
+                       "--method", "ryser", "--format", "structured")
     assert code == 1
     assert records(out)[0]["error"]["type"] == "OverflowError"
+
+
+def run_with_warnings(capsys, *argv):
+    # stderr as a shell would see it: the CLI's own lines plus any warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, out, shown + err
+
+
+@pytest.mark.parametrize("entry, code, stdout", [
+    ("1e308", 1, ""),
+    ("1e200", 0, "per = inf\n"),
+], ids=["1e308", "1e200"])
+def test_permanent_ryser_overflow_leaks_no_warning(capsys, tmp_path, entry, code, stdout):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[float(entry)] * 2] * 2))
+    got = run_with_warnings(capsys, "permanent", "--matrix", str(path), "--method", "ryser")
+    assert got[:2] == (code, stdout)
+    if code:
+        assert got[2].startswith("error: ") and got[2].count("\n") == 1
+    else:
+        assert got[2] == ""
+
+
+@pytest.mark.parametrize("method", ["naive", "ryser"])
+@pytest.mark.parametrize("big", [2**70, 2**63], ids=["2^70", "2^63"])
+def test_permanent_of_large_integer_entries_is_exact(capsys, tmp_path, method, big):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([[big, 1], [1, 1]]))
+    code, out, err = run(capsys, "permanent", "--matrix", str(path), "--method", method,
+                         "--format", "structured")
+    assert (code, err) == (0, "")
+    assert records(out)[0]["permanent"] == big + 1
+    code, out, err = run(capsys, "permanent", "--matrix", str(path), "--method", method)
+    assert (code, out, err) == (0, f"per = {big + 1}\n", "")
 
 
 def test_non_finite_complex_output_is_strict_json(capsys, tmp_path):

@@ -3,7 +3,8 @@ and its stdout byte for byte.
 
 tests/golden/cli.jsonl holds one invocation per line: its argv, its exit
 code and the sha256 of its stdout.  In argv, {golden} stands for the
-tests/golden directory and {tmp} for a fresh temporary directory.  A
+tests/golden directory and {tmp} for a fresh temporary directory; the
+digest is taken with that directory's path in stdout written as {tmp}.  A
 change that alters output on purpose rewrites the digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -34,8 +35,9 @@ def replay(argv, tmp) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = dispatch([a.format(golden=GOLDEN, tmp=tmp) for a in argv])
+    stdout = out.getvalue().replace(str(tmp), "{tmp}")
     return {"argv": argv, "exit": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+            "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
 
 
 @pytest.mark.parametrize("record", load(), ids=lambda r: " ".join(r["argv"]))
@@ -49,6 +51,14 @@ def test_the_iqp_circuit_file_is_what_iqp_emits(tmp_path):
         assert dispatch(["iqp", "--poly", str(GOLDEN / "f8.json"),
                          "--emit-circuit", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / "iqp8.json").read_bytes()
+
+
+def test_the_gadget_matrix_file_is_what_reduce_emits(tmp_path):
+    path = tmp_path / "g.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["reduce", "--poly", str(GOLDEN / "cube3.json"),
+                         "--emit-matrix", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / "gadget3.json").read_bytes()
 
 
 if __name__ == "__main__":

@@ -292,12 +292,12 @@ def test_huge_entries_stay_exact():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_glynn_overflow_on_finite_entries_raises(dtype):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OverflowError, match="overflow"):
-            pm.permanent_ryser(np.full((2, 2), 1e308, dtype=dtype))
-        # real entries that overflow only the products give inf by both methods
-        huge = np.full((2, 2), 1e200)
-        assert pm.permanent_ryser(huge) == pm.permanent_naive(huge) == math.inf
+    # no RuntimeWarning escapes either: the test run turns them into errors
+    with pytest.raises(OverflowError, match="overflow"):
+        pm.permanent_ryser(np.full((2, 2), 1e308, dtype=dtype))
+    # real entries that overflow only the products give inf by both methods
+    huge = np.full((2, 2), 1e200)
+    assert pm.permanent_ryser(huge) == pm.permanent_naive(huge) == math.inf
 
 
 def test_caps(monkeypatch):
@@ -313,11 +313,51 @@ def test_caps(monkeypatch):
         pm.permanent_ryser(np.zeros((8, 8), dtype=np.int64))
 
 
-def test_nonsquare_rejected():
-    with pytest.raises(ValueError):
-        pm.permanent_ryser(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        pm.permanent_naive([[1, 2], [3]])
+ENTRY_POINTS = {
+    "permanent_naive": pm.permanent_naive,
+    "permanent_ryser": pm.permanent_ryser,
+    "dilate": pm.dilate,
+    "herm_eig": pm.herm_eig,
+    "fock_amplitude": lambda a: pm.fock_amplitude(a, [1, 0], [1, 0]),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
+@pytest.mark.parametrize("a", [[[1, 2], [3]], np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))],
+                         ids=["ragged-list", "2x3-array", "1-d-array", "3-d-array"])
+def test_every_entry_point_needs_a_square_matrix(entry, a):
+    with pytest.raises(ValueError, match="need a square matrix"):
+        entry(a)
+
+
+@pytest.mark.parametrize("a", [
+    [[2**70, 1], [1, 1]],
+    [[2**63, 1], [1, 1]],
+    [[-2**64, 3], [5, 2**65]],
+    np.array([[2**63, 1], [1, 1]], dtype=np.uint64),
+    np.array([[2**70, 1], [1, 1]], dtype=object),
+], ids=["2^70-list", "2^63-list", "2^65-list", "2^63-uint64", "2^70-object"])
+def test_integer_entries_of_any_size_stay_exact(a):
+    expected = oracle_permanent([[int(v) for v in row] for row in a])
+    for per in (pm.permanent_naive(a), pm.permanent_ryser(a)):
+        assert per == expected and type(per) is int
+
+
+def test_bool_entries_give_an_exact_int():
+    a = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
+    for per in (pm.permanent_naive(a), pm.permanent_ryser(a)):
+        assert per == 2 and type(per) is int
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[1, 2], [3, 4]], 10),
+    ([[1, 2.5], [3, 4]], 11.5),
+    ([[2**70, 0.5], [0, 1]], float(2**70)),
+    ([[1, 1j], [1j, 1]], 0j),
+], ids=["ints", "ints-and-floats", "big-int-and-float", "complex"])
+def test_nested_entries_pick_the_number_type(rows, expected):
+    per = pm.permanent_ryser(rows)
+    assert per == expected and type(per) is type(expected)
 
 
 # -- spectral helpers ---------------------------------------------------------

@@ -155,6 +155,16 @@ class TestCanonicalTerms:
         assert loads(dumps(f)) == f
         assert parse_poly(to_text(f), f.n) == f
 
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_random_poly_equals_the_from_terms_build(self, n, seed):
+        # random_poly keeps all_terms' order; from_terms sorts the same draw
+        f = random_poly(n, np.random.default_rng(seed))
+        take = np.random.default_rng(seed).integers(0, 2, size=max_terms(n), dtype=np.uint8)
+        kept = [t for t, keep in zip(all_terms(n), take) if keep]
+        assert f == Poly3.from_terms(n, kept)
+        assert f.terms == Poly3.from_terms(n, kept[::-1]).terms
+
 
 class TestZeroVariables:
     def test_zero_polynomial_on_no_variables(self):
