@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import check
 from .poly3 import Poly3
-from .transform import mobius, term_masks, zeta
+from .transform import mobius, zeta
 
 _WORDS = tuple(np.dtype(w) for w in (np.uint8, np.uint16, np.uint32, np.uint64))
 
@@ -180,11 +180,10 @@ def r_poly(f: Poly3, t: int, l: int | None = None) -> MultilinearPoly:
     # blocks together do the 2^n work of brute force
     check("EVAL_CAP", m, "r_poly: m")
     check("BRUTE_CAP", f.n, "r_poly: n")
-    masks = term_masks(f.terms)
     word = _word(l)
     total = np.zeros(1 << m, dtype=word)
     for a_mask in range(1 << t):
-        total += _qhat_values(_int_value_table(masks, a_mask, m, word), l)
+        total += _qhat_values(_int_value_table(f.masks, a_mask, m, word), l)
     return from_values(m, l, total)
 
 

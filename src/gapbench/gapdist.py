@@ -21,7 +21,7 @@ import numpy as np
 from . import config, transform
 from .circuits import classify_from_gap
 from .config import CapExceeded
-from .poly3 import all_terms, max_terms
+from .poly3 import Poly3, all_terms, max_terms
 
 _EXACT_N_CAP = 4
 _EXACT_K_CAP = 4
@@ -79,7 +79,7 @@ class GapSampler:
             raise CapExceeded(f"sampling cap: need 1 <= n <= {cap}, got n={n}")
         self.n = n
         self.term_count = max_terms(n)
-        self._masks = transform.term_masks(all_terms(n))
+        self._masks = Poly3(n, tuple(all_terms(n))).masks
 
     def gaps(self, samples: int, seed: int) -> np.ndarray:
         """samples iid gap draws, deterministic in seed.
@@ -108,7 +108,7 @@ def _exhaustive_gaps(n: int) -> np.ndarray:
     selects term k of all_terms(n) for each bit k set in i."""
     if n > _EXACT_N_CAP:
         raise CapExceeded(f"exhaustive enumeration needs n <= {_EXACT_N_CAP}")
-    masks = transform.term_masks(all_terms(n))
+    masks = Poly3(n, tuple(all_terms(n))).masks
     sel = (np.arange(1 << len(masks))[:, None] >> np.arange(len(masks))) & 1 == 1
     return transform.gaps(sel, masks, n)
 

@@ -284,8 +284,12 @@ def dilate(a, c: float | None = None) -> Dilation:
     invertible; the default c = 1/(2 max(1, ||A||)) always qualifies.
     """
     mat = np.asarray(_square(a), dtype=np.complex128)
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     n = mat.shape[0]
     norm = spectral_norm(mat)
+    if not math.isfinite(norm):
+        raise OverflowError("the spectral norm of the matrix overflows float64")
     if c is None:
         c = _scale_for_norm(norm)
     if not c > 0:

@@ -22,11 +22,12 @@ import json
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import check
-from .transform import gaps, packed_truth_tables, term_masks
+from .transform import gaps, packed_truth_tables
 
 
 class ParseError(ValueError):
@@ -96,6 +97,15 @@ class Poly3:
         odd = sorted(t for t, c in counts.items() if c)
         return cls(n=n, terms=tuple(sorted(odd, key=len)))  # stable: lexicographic per degree
 
+    @cached_property
+    def masks(self) -> np.ndarray:
+        """Read-only int64 variable mask of each term (bit i = x_i), built once."""
+        # a term's 1 to 3 variables are its first, middle and last index
+        masks = np.array([1 << t[0] | 1 << t[len(t) // 2] | 1 << t[-1] for t in self.terms],
+                         dtype=np.int64)
+        masks.flags.writeable = False
+        return masks
+
     def __str__(self) -> str:
         return to_text(self)
 
@@ -143,8 +153,8 @@ def evaluate_points(f: Poly3, xs) -> np.ndarray:
 
 def truth_table(f: Poly3) -> np.ndarray:
     """0/1 uint8 table of f on all 2^n assignments (index bit i = var i)."""
-    masks = term_masks(f.terms)
-    packed = packed_truth_tables(np.ones((1, len(masks)), dtype=bool), masks, f.n)[0]
+    check("DIST_CAP", f.n, "truth_table: n")
+    packed = packed_truth_tables(np.ones((1, len(f.terms)), dtype=bool), f.masks, f.n)[0]
     packed = packed.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(packed, bitorder="little")[: 1 << f.n]
 
@@ -163,10 +173,9 @@ def gap_bruteforce(f: Poly3) -> int:
     """
     check("BRUTE_CAP", f.n, "gap_bruteforce: n")
     low = min(f.n, _TABLE_LIMIT)
-    masks = term_masks(f.terms)
     blocks = np.arange(1 << (f.n - low))[:, None]
-    alive = ((masks >> low) & ~blocks) == 0
-    return int(gaps(alive, masks & ((1 << low) - 1), low).sum())
+    alive = ((f.masks >> low) & ~blocks) == 0
+    return int(gaps(alive, f.masks & ((1 << low) - 1), low).sum())
 
 
 def zeros_count(f: Poly3) -> int:

@@ -14,8 +14,6 @@ exhaustive family all call it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 _ONES = (1 << 64) - 1
@@ -128,13 +126,3 @@ def gaps(sel: np.ndarray, masks: np.ndarray, n: int) -> np.ndarray:
         out[lo : lo + len(chunk)] = (1 << n) - 2 * ones
     return out
 
-
-def term_masks(terms: Iterable[tuple[int, ...]]) -> np.ndarray:
-    """int64 variable mask of each term in order, e.g. of a Poly3's terms."""
-    out = []
-    for term in terms:
-        mask = 0
-        for i in term:
-            mask |= 1 << i
-        out.append(mask)
-    return np.array(out, dtype=np.int64)

@@ -726,6 +726,19 @@ def test_fock_amp_refuses_nan_unitary(capsys, tmp_path):
                                         "message": "matrix is not unitary within tolerance"}
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ("[[1e308, 1e308], [1e308, 1e308]]", "the spectral norm of the matrix overflows float64"),
+    ("[[NaN, 1], [1, 0]]", "matrix entries must be finite"),
+    ("[[Infinity, 1], [1, 0]]", "matrix entries must be finite"),
+], ids=["1e308", "nan", "inf"])
+def test_boson_encode_refuses_non_finite_input_in_matrix_words(capsys, tmp_path, matrix,
+                                                               message):
+    path = tmp_path / "a.json"
+    path.write_text(matrix)
+    code, out, err = run_with_warnings(capsys, "boson-encode", "--matrix", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("scale", [[], ["--scale", "0.1"]])
 def test_boson_encode_decomposes_once(capsys, monkeypatch, tmp_path, scale):
     # one SVD for the norm, one eigh of the defect and one of the inner block

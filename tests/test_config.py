@@ -29,6 +29,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gapbench"
      "permanent_ryser: d = 8 exceeds cap 7"),
     ("DIST_CAP=1", lambda: avgcase.find_certificate(poly3.Poly3.from_terms(2, [(0,)])),
      "find_certificate: n = 2 exceeds cap 1"),
+    ("DIST_CAP=6", lambda: poly3.truth_table(poly3.Poly3(n=7)),
+     "truth_table: n = 7 exceeds cap 6"),
 ])
 def test_every_capped_routine_reads_its_cap_from_the_environment(monkeypatch, env, call,
                                                                  message):

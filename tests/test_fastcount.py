@@ -15,6 +15,7 @@ count 2^t) is pinned separately: it is exactly the case the default
 l = t + 1 exists for, since mod 2^t it would alias to zero.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from gapbench.poly3 import (
     truth_table,
     zeros_count,
 )
-from gapbench.transform import mobius, term_masks
+from gapbench.transform import mobius
 
 WORKED_F = parse_poly("x1 + x2 + x1*x2 + x1*x2*x3", 3)
 
@@ -63,7 +64,7 @@ def qhat(f, bits, l):
     """Amplified indicator of f with its last len(bits) variables fixed."""
     m = f.n - len(bits)
     a_mask = sum(b << i for i, b in enumerate(bits))
-    table = fc._int_value_table(term_masks(f.terms), a_mask, m, fc._word(l))
+    table = fc._int_value_table(f.masks, a_mask, m, fc._word(l))
     return fc.from_values(m, l, fc._qhat_values(table, l))
 
 
@@ -243,6 +244,24 @@ def test_counts_match_brute_force():
         for t in (1, 2, 3, 4):
             f = random_poly(n, rng)
             assert fc.count_ones_lptwy(f, t) == (1 << n) - zeros_count(f)
+
+
+def test_a_count_item_builds_and_reads_one_mask_array(monkeypatch):
+    # gap_bruteforce then count_ones_lptwy on one f, as the CLI's count does
+    built = []
+    build = Poly3.masks.func
+    counted = functools.cached_property(lambda f: built.append(f) or build(f))
+    counted.__set_name__(Poly3, "masks")
+    monkeypatch.setattr(Poly3, "masks", counted)
+    read = []
+    value_table = fc._int_value_table
+    monkeypatch.setattr(fc, "_int_value_table",
+                        lambda masks, *rest: read.append(masks) or value_table(masks, *rest))
+    f = random_poly(12, np.random.default_rng(24))
+    gap = gap_bruteforce(f)
+    assert 2 * fc.count_ones_lptwy(f, 2) == (1 << f.n) - gap
+    assert len(built) == 1 and len(read) == 4
+    assert all(masks is f.masks for masks in read)
 
 
 def test_counts_many_random_n14():

@@ -243,7 +243,7 @@ def test_sampler_zero_mask_gives_full_gap():
     # the sampler's kernel on the all-false coefficient mask: f = 0
     for n in (2, 5, 16):
         zero = np.zeros((1, max_terms(n)), dtype=bool)
-        assert transform.gaps(zero, transform.term_masks(all_terms(n)), n)[0] == 1 << n
+        assert transform.gaps(zero, Poly3(n, tuple(all_terms(n))).masks, n)[0] == 1 << n
 
 
 def seed_contract_polys(n, samples, seed):

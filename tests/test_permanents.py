@@ -426,6 +426,21 @@ def test_dilate_rejects_non_finite_scale():
         pm.dilate([[0]], c=float("inf"))
 
 
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf"),
+                                   complex(1, float("nan"))])
+def test_dilate_refuses_non_finite_entries(entry):
+    for c in (None, 0.1):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            pm.dilate([[entry, 1], [1, 0]], c)
+
+
+def test_dilate_refuses_an_overflowing_norm():
+    # finite entries whose spectral norm, 2e308, is past the float64 range
+    for c in (None, 1e-310):
+        with pytest.raises(OverflowError, match="spectral norm of the matrix overflows"):
+            pm.dilate([[1e308, 1e308], [1e308, 1e308]], c)
+
+
 def test_dilate_decomposes_once(monkeypatch):
     # one SVD for the norm, one eigh of the defect and one of the inner block
     calls = []

@@ -166,6 +166,34 @@ class TestCanonicalTerms:
         assert f.terms == Poly3.from_terms(n, kept[::-1]).terms
 
 
+@st.composite
+def polys_up_to_12(draw):
+    n = draw(st.integers(0, 12))
+    terms = all_terms(n)
+    keep = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+    return Poly3(n, tuple(t for t, k in zip(terms, keep) if k))
+
+
+class TestTermMasks:
+    @given(polys_up_to_12())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_masks_are_the_read_only_term_bitmasks(self, f):
+        masks = f.masks
+        assert masks.dtype == np.int64 and masks.shape == (len(f.terms),)
+        bits = [["1" if i in t else "0" for i in reversed(range(f.n))] for t in f.terms]
+        assert masks.tolist() == [int("".join(b), 2) for b in bits]
+        assert not masks.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            masks[...] = 0
+        assert f.masks is masks
+
+    def test_masks_leave_equality_hash_and_repr_alone(self):
+        f, g = parse_poly("x1 + x2*x3", 3), parse_poly("x1 + x2*x3", 3)
+        assert f.masks is vars(f)["masks"] and "masks" not in vars(g)
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        assert repr(f) == "Poly3(n=3, terms=((0,), (1, 2)))"
+
+
 class TestZeroVariables:
     def test_zero_polynomial_on_no_variables(self):
         f = Poly3(n=0)

@@ -27,7 +27,7 @@ from gapbench.poly3 import (
     truth_table,
     with_linear,
 )
-from gapbench.transform import gaps, mobius, term_masks, words_for, zeta, zeta_gf2
+from gapbench.transform import gaps, mobius, words_for, zeta, zeta_gf2
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -92,8 +92,8 @@ def test_gap_bruteforce_builds_every_chunk_in_one_buffer(n):
 
 
 def test_term_masks():
-    assert term_masks([(0,), (1, 2), (0, 2, 3)]).tolist() == [0b1, 0b110, 0b1101]
-    assert term_masks([]).shape == (0,)
+    assert Poly3(4, ((0,), (1, 2), (0, 2, 3))).masks.tolist() == [0b1, 0b110, 0b1101]
+    assert Poly3(4).masks.shape == (0,)
 
 
 # -- cross-route properties ---------------------------------------------------
@@ -119,9 +119,9 @@ def test_bruteforce_matches_lptwy_for_every_t(f):
 @PROPERTY
 def test_gap_of_mask_matches_bruteforce(f):
     present = set(f.terms)
-    terms = all_terms(f.n)
-    mask = np.array([[t in present for t in terms]])
-    assert gaps(mask, term_masks(terms), f.n)[0] == gap_bruteforce(f)
+    full = Poly3(f.n, tuple(all_terms(f.n)))
+    mask = np.array([[t in present for t in full.terms]])
+    assert gaps(mask, full.masks, f.n)[0] == gap_bruteforce(f)
 
 
 @given(polys())
