@@ -8,7 +8,7 @@ Supported gates: h, z, cz, ccz, diag_phase (e^{i*theta} on amplitudes
 whose target bits match a pattern, up to 3 targets), xrot
 (exp(-i*beta*X) on one qubit).
 
-`run` executes the gate stream in four parts, and its final state is
+`run` executes the gate stream in five parts, and its final state is
 byte-identical (`tobytes()`) to applying the gates one at a time with
 the textbook formulas on a complex128 state:
 
@@ -16,18 +16,31 @@ the textbook formulas on a complex128 state:
   on qubit 0, 1, 2, ... in turn, only the prefix that can be nonzero
   is transformed; every amplitude past it is +0, and (0 + 0)*s and
   (0 - 0)*s are +0 again.  Any other gate ends the column.
+* Cache blocks.  The state is a row of blocks of `_BLOCK_BYTES` (2^k
+  amplitudes: k = 15 in complex128, 16 in float64).  A gate is local
+  when it maps each block to itself: a diagonal gate, or an h or xrot
+  on a qubit below k.  Each maximal run of local gates goes block by
+  block, every gate of the run on one block before the next block; a
+  diagonal gate's targets at or above k pick its blocks by the block
+  index.  An h or xrot on a qubit at or above k pairs amplitudes of
+  two blocks, so it runs alone, over contiguous pieces of half a block
+  from each half of its rows.  The bytes do not change: each amplitude
+  still meets the same gates in the same order, through the same
+  ufuncs on the same operands; only the order in which amplitudes are
+  visited changes.
 * In-place butterflies.  h computes (a + b)*s and (a - b)*s, xrot
   c*a - (1j*s)*b and (-1j*s)*a + c*b, with the same ufuncs in the same
-  order as the formulas, written through one scratch buffer per run:
-  half a state for h, a whole one only when an xrot appears.
+  order as the formulas, on the two halves of the pairs of a block, a
+  live prefix or a piece, through one block of scratch.
 * Sign runs.  z, cz and ccz multiply by -1.0 on their all-ones
-  pattern.  On a float64 state -1.0 has period 2, so each sign gate
-  only flips a parity bit per amplitude, and before any other gate and
-  at the end of the run the amplitudes whose bit is set are multiplied
-  by -1.0 once.  On a complex128 state -1.0 is not negation on signed
-  zeros, so each sign gate is the textbook multiply, like diag_phase.
-  diag_phase is never fused: its factors differ per gate and the
-  product order changes the rounding.
+  pattern.  On a float64 state -1.0 has period 2, so a maximal run of
+  sign gates is one bool parity per amplitude, whether its index holds
+  an odd number of the run's target masks (a GF(2) zeta transform, in
+  which a mask that appears twice cancels), and one multiply by -1.0
+  where the parity is set.  On a complex128 state -1.0 is not negation
+  on signed zeros, so each sign gate is the textbook multiply, a local
+  gate like diag_phase.  diag_phase is never fused: its factors differ
+  per gate and the product order changes the rounding.
 * IQP streams in float64.  A stream of h on qubits 0, 1, ..., q-1 in
   turn, then only z/cz/ccz, then only h (at least one if a sign gate
   came before) runs on a float64 state, which `run` returns as
@@ -45,6 +58,7 @@ the textbook formulas on a complex128 state:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -112,30 +126,32 @@ def zero_state(q: int) -> np.ndarray:
 
 
 _SIGN_KINDS = ("z", "cz", "ccz")
-_PARITY_ROW = 8  # parity bits are flipped in contiguous rows of 2^8 (low qubits)
+_BUTTERFLY_KINDS = ("h", "xrot")
+_BLOCK_BYTES = 1 << 19  # gate runs work on 512 KiB blocks of the state
 
 
-def _pattern_index(q: int, targets, pattern) -> tuple:
-    # selects, in a (2,)*q view, the entries whose target bits match
-    sel: list = [slice(None)] * q
+def _pattern_index(k: int, targets, pattern) -> tuple:
+    # selects, in a (2,)*k view of a block, the entries whose target bits
+    # below k match; targets at or above k pick blocks instead
+    sel: list = [slice(None)] * k
     for t, b in zip(targets, pattern):
-        sel[q - 1 - t] = b  # axis 0 is the most significant qubit
+        if t < k:
+            sel[k - 1 - t] = b  # axis 0 is the most significant qubit
     return tuple(sel)
 
 
-def _pair_halves(state: np.ndarray, t: int):
+def _pair_halves(block: np.ndarray, t: int):
     """Views a (bit t = 0) and b (bit t = 1) of every pair, and the
     ufunc iteration order for them.  For t <= 1 the rows hold one or two
     amplitudes, so the views are transposed and walked in long columns."""
-    view = state.reshape(-1, 2, 1 << t)
+    view = block.reshape(-1, 2, 1 << t)
     a, b = view[:, 0, :], view[:, 1, :]
     if t <= 1:
         return a.T, b.T, "C"
     return a, b, "K"
 
 
-def _h(state: np.ndarray, t: int, scratch: np.ndarray) -> None:
-    a, b, order = _pair_halves(state, t)
+def _h(a: np.ndarray, b: np.ndarray, order: str, scratch: np.ndarray) -> None:
     diff = scratch[: a.size].reshape(a.shape)
     np.subtract(a, b, out=diff, order=order)
     np.add(a, b, out=a, order=order)
@@ -143,8 +159,7 @@ def _h(state: np.ndarray, t: int, scratch: np.ndarray) -> None:
     np.multiply(diff, _INV_SQRT2, out=b, order=order)
 
 
-def _xrot(state: np.ndarray, t: int, beta: float, scratch: np.ndarray) -> None:
-    a, b, order = _pair_halves(state, t)
+def _xrot(a: np.ndarray, b: np.ndarray, order: str, scratch: np.ndarray, beta: float) -> None:
     u = scratch[: a.size].reshape(a.shape)
     v = scratch[a.size : 2 * a.size].reshape(a.shape)
     c, s = math.cos(beta), math.sin(beta)
@@ -157,28 +172,74 @@ def _xrot(state: np.ndarray, t: int, beta: float, scratch: np.ndarray) -> None:
     a[...] = u
 
 
-def _scale_pattern(state: np.ndarray, q: int, targets, pattern, factor) -> None:
-    state.reshape((2,) * q)[_pattern_index(q, targets, pattern)] *= factor
+def _butterfly(gate: Gate, a: np.ndarray, b: np.ndarray, order: str, scratch: np.ndarray) -> None:
+    if gate.kind == "h":
+        _h(a, b, order, scratch)
+    else:
+        _xrot(a, b, order, scratch, gate.beta)
 
 
-def _flip_parity(parity: np.ndarray, q: int, targets) -> None:
-    """Flip the parity bit of every amplitude whose targets are all 1.
+def _butterflies(state: np.ndarray, gate: Gate, piece: int, scratch: np.ndarray) -> None:
+    """Apply an h or xrot through contiguous pieces, at most `piece`
+    amplitudes long, of the two halves of each row of pairs."""
+    t = gate.targets[0]
+    piece = min(piece, 1 << t)
+    for row in state.reshape(-1, 2, (1 << t) // piece, piece):
+        for a, b in zip(row[0], row[1]):
+            _butterfly(gate, a, b, "K", scratch)
 
-    Targets below the row length become a 0/1 pattern XORed along each
-    row, so every XOR runs over contiguous rows of 2^8 bits."""
-    low = min(q, _PARITY_ROW)
-    mask = sum(1 << t for t in targets if t < low)
-    high = [t - low for t in targets if t >= low]
-    rows = parity.reshape((2,) * (q - low) + (1 << low,))
-    rows = rows[_pattern_index(q - low, high, (1,) * len(high))]
-    rows ^= (np.arange(1 << low) & mask) == mask
+
+def _run_blocks(state: np.ndarray, k: int, gates, scratch) -> None:
+    """Apply local gates (each maps every block of 2^k amplitudes to
+    itself) one block at a time: every gate on a block before the next."""
+    steps = []
+    for gate in gates:
+        if gate.kind in _BUTTERFLY_KINDS:
+            steps.append((gate, None, 0, 0, None))
+            continue
+        if gate.kind == "diag_phase":
+            pattern, factor = gate.pattern, np.exp(1j * gate.theta)
+        else:
+            pattern, factor = (1,) * len(gate.targets), -1.0
+        mask = sum(1 << t for t in gate.targets) >> k
+        bits = sum(b << t for t, b in zip(gate.targets, pattern)) >> k
+        steps.append((gate, _pattern_index(k, gate.targets, pattern), mask, bits, factor))
+    for n, block in enumerate(state.reshape(-1, 1 << k)):
+        cube = block.reshape((2,) * k)
+        for gate, index, mask, bits, factor in steps:
+            if index is None:
+                _butterfly(gate, *_pair_halves(block, gate.targets[0]), scratch)
+            elif n & mask == bits:
+                cube[index] *= factor
+
+
+def _sign_parity(q: int, masks) -> np.ndarray:
+    """Bool per basis index x: is x a superset of an odd number of the
+    masks?  The GF(2) zeta transform of their odd counts (a mask that
+    appears twice cancels).  Its XOR passes run first on the low bits of
+    a (low bits, high bits) table, then on the high bits of its
+    transpose, so every pass reads and writes contiguous rows."""
+    odd: set = set()
+    for m in masks:
+        odd ^= {m}
+    low = q // 2
+    masks = np.fromiter(odd, dtype=np.int64, count=len(odd))
+    table = np.zeros((1 << low, 1 << (q - low)), dtype=bool)
+    table[masks & ((1 << low) - 1), masks >> low] = True
+    for i in range(q - low, q):
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 1] ^= pairs[:, 0]
+    parity = np.ascontiguousarray(table.T).reshape(-1)
+    for i in range(low, q):
+        pairs = parity.reshape(-1, 2, 1 << i)
+        pairs[:, 1] ^= pairs[:, 0]
+    return parity
 
 
 def _flush_signs(state: np.ndarray, parity: np.ndarray) -> None:
-    """Multiply a float64 state by -1.0 where the parity is set, and
-    clear it: a float repeats with period 2 under that product."""
+    """Multiply a float64 state by -1.0 where the parity is set: a float
+    repeats with period 2 under that product."""
     np.multiply(state, -1.0, out=state, where=parity)
-    parity.fill(False)
 
 
 def _check_targets(gate: Gate, q: int) -> None:
@@ -194,44 +255,48 @@ def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
     |0...0>, q for any state); the leading h gates on qubits live,
     live + 1, ... act on that prefix alone.
     """
-    kinds = {g.kind for g in gates}
-    size = 1 << q if "xrot" in kinds else 1 << (q - 1) if "h" in kinds else 0
-    scratch = np.empty(size, dtype=state.dtype)
+    # a block holds 2^k amplitudes, at least one pair
+    k = min(q, max(1, (_BLOCK_BYTES // state.itemsize).bit_length() - 1))
     real = state.dtype == np.float64
-    parity = np.zeros(1 << q, dtype=bool) if real and kinds.intersection(_SIGN_KINDS) else None
-    pending = False
-    for gate in gates:
-        if gate.kind in _SIGN_KINDS:
-            live = q
-            if real:
-                _flip_parity(parity, q, gate.targets)
-                pending = True
-            else:
-                _scale_pattern(state, q, gate.targets, (1,) * len(gate.targets), -1.0)
-            continue
-        if pending:
-            _flush_signs(state, parity)
-            pending = False
-        t = gate.targets[0]
-        if gate.kind == "h" and t == live:
-            live += 1
-            _h(state[: 1 << live], t, scratch)
-            continue
-        live = q
-        if gate.kind == "h":
-            _h(state, t, scratch)
-        elif gate.kind == "xrot":
-            _xrot(state, t, gate.beta, scratch)
+    scratch = np.empty(1 << k, dtype=state.dtype)
+    piece = 1 << (k - 1)  # half a block from each half of a row of pairs
+    i = 0
+    while i < len(gates) and gates[i].kind == "h" and gates[i].targets[0] == live:
+        live += 1
+        _butterflies(state[: 1 << live], gates[i], piece, scratch)
+        i += 1
+
+    def scope(gate):
+        if gate.kind in _BUTTERFLY_KINDS:
+            return "local" if gate.targets[0] < k else "global"
+        if real and gate.kind in _SIGN_KINDS:
+            return "sign"
+        # in a block under 2^4 amplitudes a diagonal gate can fix every
+        # qubit, and numpy multiplies one amplitude in place through a
+        # scalar loop that rounds unlike its vector loop (no FMA)
+        return "local" if k == q or sum(t < k for t in gate.targets) < k else "global"
+
+    for kind, run in itertools.groupby(gates[i:], key=scope):
+        run = list(run)
+        if kind == "sign":
+            masks = [sum(1 << t for t in g.targets) for g in run]
+            _flush_signs(state, _sign_parity(q, masks))
+        elif kind == "local":
+            _run_blocks(state, k, run, scratch)
         else:
-            _scale_pattern(state, q, gate.targets, gate.pattern, np.exp(1j * gate.theta))
-    if pending:
-        _flush_signs(state, parity)
+            for gate in run:
+                if gate.kind in _BUTTERFLY_KINDS:
+                    _butterflies(state, gate, piece, scratch)
+                else:  # the whole state as one block
+                    _run_blocks(state, q, [gate], scratch)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
     """Apply one gate in place and return the same array."""
     if state.shape != (1 << q,):
         raise ValueError(f"state has {state.shape[0]} amplitudes, expected 2^{q}")
+    if state.dtype != np.complex128:
+        raise ValueError(f"state has dtype {state.dtype}, expected complex128")
     _check_targets(gate, q)
     _execute(state, q, (gate,), live=q)
     return state
