@@ -158,6 +158,32 @@ def qaoa_acceptance(f: Poly3) -> float:
     return float(abs(state[0]) ** 2)
 
 
+def qaoa_acceptance_exact(f: Poly3) -> Fraction:
+    """`qaoa_acceptance` as an exact rational, from the constraints alone.
+
+    At GAMMA = pi/2 the phase stage turns basis state x by (-i)^C(x), C(x)
+    the total multiplicity of the constraints x matches, and at BETA =
+    pi/4 each qubit gives <0|exp(-i*BETA*X)|b> = (-i)^b/sqrt(2).  So the
+    all-zeros amplitude is 2^-q * sum_x (-i)^(C(x) + |x|), and with N_k
+    the number of x with C(x) + |x| = k (mod 4) the probability is
+    ((N_0 - N_2)^2 + (N_1 - N_3)^2) / 4^q.  The 2^q indices are checked
+    against each constraint in chunks of 2^16.
+    """
+    spec = build_qaoa(f)
+    check("DIST_CAP", spec.q, "qaoa_acceptance_exact: q")
+    tally = np.zeros(4, dtype=np.int64)
+    for start in range(0, 1 << spec.q, 1 << 16):
+        x = np.arange(start, min(start + (1 << 16), 1 << spec.q), dtype=np.uint64)
+        turns = np.bitwise_count(x).astype(np.int64)
+        for c in spec.constraints:
+            mask = sum(1 << t for t in c.targets)
+            bits = sum(b << t for t, b in zip(c.targets, c.pattern))
+            turns += c.multiplicity * ((x & np.uint64(mask)) == bits)
+        tally += np.bincount(turns & 3, minlength=4)
+    n0, n1, n2, n3 = (int(v) for v in tally)
+    return Fraction((n0 - n2) ** 2 + (n1 - n3) ** 2, 4 ** spec.q)
+
+
 # -- squared-gap promise thresholds -------------------------------------------
 
 

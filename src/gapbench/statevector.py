@@ -6,41 +6,43 @@ callers own the array while a circuit runs.
 
 Supported gates: h, z, cz, ccz, diag_phase (e^{i*theta} on amplitudes
 whose target bits match a pattern, up to 3 targets), xrot
-(exp(-i*beta*X) on one qubit).
+(exp(-i*beta*X) on one qubit).  Angles must be finite.
 
-`run` executes the gate stream in five parts, and its final state is
-byte-identical (`tobytes()`) to applying the gates one at a time with
-the textbook formulas on a complex128 state:
+`run`'s final state is byte-identical (`tobytes()`), at every SIMD level
+numpy dispatches, to this fold over a complex128 state from |0...0>:
+
+* h: (a + b)*s and (a - b)*s, s = 1/sqrt(2); xrot: c*a - (1j*s)*b and
+  (-1j*s)*a + c*b, c = cos(beta), s = sin(beta); z, cz, ccz: a product
+  by -1.0 on the all-ones pattern.
+* diag_phase: re*c - im*s and re*s + im*c on the matching amplitudes,
+  c = cos(theta), s = sin(theta), as separate real products (numpy's
+  complex loop fuses products on some CPUs and not on others).
+* Quarter turns: a diag_phase with theta == k*(pi/2), k an integer with
+  |k| <= 4, turns by i^k.  Each maximal run of them is one product of
+  every amplitude by i^c from (1, 1j, -1, -1j), c its quarter turns mod
+  4.  Such products are exact, whatever the run's order or the CPU.
+
+`run` gets there in four parts:
 
 * Live-prefix first H column.  From |0...0>, while the next gate is h
   on qubit 0, 1, 2, ... in turn, only the prefix that can be nonzero
   is transformed; every amplitude past it is +0, and (0 + 0)*s and
   (0 - 0)*s are +0 again.  Any other gate ends the column.
 * Cache blocks.  The state is a row of blocks of `_BLOCK_BYTES` (2^k
-  amplitudes: k = 15 in complex128, 16 in float64).  A gate is local
-  when it maps each block to itself: a diagonal gate, or an h or xrot
-  on a qubit below k.  Each maximal run of local gates goes block by
-  block, every gate of the run on one block before the next block; a
-  diagonal gate's targets at or above k pick its blocks by the block
-  index.  An h or xrot on a qubit at or above k pairs amplitudes of
-  two blocks, so it runs alone, over contiguous pieces of half a block
-  from each half of its rows.  The bytes do not change: each amplitude
-  still meets the same gates in the same order, through the same
-  ufuncs on the same operands; only the order in which amplitudes are
-  visited changes.
-* In-place butterflies.  h computes (a + b)*s and (a - b)*s, xrot
-  c*a - (1j*s)*b and (-1j*s)*a + c*b, with the same ufuncs in the same
-  order as the formulas, on the two halves of the pairs of a block, a
-  live prefix or a piece, through one block of scratch.
-* Sign runs.  z, cz and ccz multiply by -1.0 on their all-ones
-  pattern.  On a float64 state -1.0 has period 2, so a maximal run of
-  sign gates is one bool parity per amplitude, whether its index holds
-  an odd number of the run's target masks (a GF(2) zeta transform, in
-  which a mask that appears twice cancels), and one multiply by -1.0
-  where the parity is set.  On a complex128 state -1.0 is not negation
-  on signed zeros, so each sign gate is the textbook multiply, a local
-  gate like diag_phase.  diag_phase is never fused: its factors differ
-  per gate and the product order changes the rounding.
+  amplitudes: k = 15 in complex128, 16 in float64).  A maximal run of
+  local gates (other diagonal gates, h or xrot on a qubit below k) goes
+  block by block; a diagonal gate's targets at or above k pick blocks.  h
+  or xrot on a qubit at or above k runs alone, over pieces of half a
+  block.  h and xrot run their formulas' ufuncs in order on the two
+  halves of the pairs, through one block of scratch.
+* Counted runs.  A run of quarter turns, or of z/cz/ccz on a float64
+  state (two quarter turns each), is one uint8 count per amplitude: by
+  inclusion-exclusion a gate adds +-k at masks of its targets, and one
+  subset-sum (zeta) transform adds up the masks inside each index (mod
+  256, which keeps the count mod 4).  The factors are gathered into the
+  scratch and multiplied in; on a float64 state they are +-1.0, and -1.0
+  has period 2.  On a complex128 state -1.0 is not negation on signed
+  zeros, so each sign gate is a local gate there.
 * IQP streams in float64.  A stream of h on qubits 0, 1, ..., q-1 in
   turn, then only z/cz/ccz, then only h (at least one if a sign gate
   came before) runs on a float64 state, which `run` returns as
@@ -90,6 +92,9 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        for name in ("theta", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"gate {name} must be finite, got {getattr(self, name)}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"repeated target in {self.targets}")
         arity = {"h": 1, "z": 1, "cz": 2, "ccz": 3, "xrot": 1}.get(self.kind)
@@ -128,25 +133,36 @@ def zero_state(q: int) -> np.ndarray:
 _SIGN_KINDS = ("z", "cz", "ccz")
 _BUTTERFLY_KINDS = ("h", "xrot")
 _BLOCK_BYTES = 1 << 19  # gate runs work on 512 KiB blocks of the state
+_QUARTER = math.pi / 2
+_MAX_QUARTERS = 4  # theta = k*_QUARTER is k quarter turns when |k| <= 4
+_TURNS = np.array([1, 1j, -1, -1j])  # i^c, the factor of c quarter turns
+
+
+def _quarters(gate: Gate):
+    """k if `gate` is a diag_phase by exactly k quarter turns, else None."""
+    k = round(gate.theta / _QUARTER)
+    exact = abs(k) <= _MAX_QUARTERS and k * _QUARTER == gate.theta
+    return k if gate.kind == "diag_phase" and exact else None
 
 
 def _pattern_index(k: int, targets, pattern) -> tuple:
     # selects, in a (2,)*k view of a block, the entries whose target bits
-    # below k match; targets at or above k pick blocks instead
+    # below k match (a view even when every axis is fixed); targets at or
+    # above k pick blocks instead
     sel: list = [slice(None)] * k
     for t, b in zip(targets, pattern):
         if t < k:
             sel[k - 1 - t] = b  # axis 0 is the most significant qubit
-    return tuple(sel)
+    return (*sel, ...)
 
 
-def _pair_halves(block: np.ndarray, t: int):
+def _pair_halves(block: np.ndarray, t: int, columns: int = 2):
     """Views a (bit t = 0) and b (bit t = 1) of every pair, and the
-    ufunc iteration order for them.  For t <= 1 the rows hold one or two
-    amplitudes, so the views are transposed and walked in long columns."""
+    ufunc iteration order for them.  For t < `columns` the rows are
+    short, so the views are transposed and walked in long columns."""
     view = block.reshape(-1, 2, 1 << t)
     a, b = view[:, 0, :], view[:, 1, :]
-    if t <= 1:
+    if t < columns:
         return a.T, b.T, "C"
     return a, b, "K"
 
@@ -189,57 +205,82 @@ def _butterflies(state: np.ndarray, gate: Gate, piece: int, scratch: np.ndarray)
             _butterfly(gate, a, b, "K", scratch)
 
 
+def _phase(amps: np.ndarray, theta: float, scratch: np.ndarray) -> None:
+    """amps *= e^{i*theta} as separate real products, re*c - im*s and
+    re*s + im*c: numpy's complex loop fuses products on some CPUs only."""
+    c, s = math.cos(theta), math.sin(theta)
+    re, im = amps.real, amps.imag
+    halves = scratch.view(np.float64)[: 2 * amps.size].reshape(2, -1)
+    u, v = (w.reshape(amps.shape) for w in halves)
+    np.multiply(re, c, out=u)
+    np.multiply(im, s, out=v)
+    np.subtract(u, v, out=u)
+    np.multiply(re, s, out=v)
+    np.multiply(im, c, out=im)
+    np.add(v, im, out=im)
+    re[...] = u
+
+
 def _run_blocks(state: np.ndarray, k: int, gates, scratch) -> None:
     """Apply local gates (each maps every block of 2^k amplitudes to
     itself) one block at a time: every gate on a block before the next."""
     steps = []
     for gate in gates:
         if gate.kind in _BUTTERFLY_KINDS:
-            steps.append((gate, None, 0, 0, None))
+            steps.append((gate, None, 0, 0))
             continue
-        if gate.kind == "diag_phase":
-            pattern, factor = gate.pattern, np.exp(1j * gate.theta)
-        else:
-            pattern, factor = (1,) * len(gate.targets), -1.0
+        pattern = gate.pattern if gate.kind == "diag_phase" else (1,) * len(gate.targets)
         mask = sum(1 << t for t in gate.targets) >> k
         bits = sum(b << t for t, b in zip(gate.targets, pattern)) >> k
-        steps.append((gate, _pattern_index(k, gate.targets, pattern), mask, bits, factor))
+        steps.append((gate, _pattern_index(k, gate.targets, pattern), mask, bits))
     for n, block in enumerate(state.reshape(-1, 1 << k)):
         cube = block.reshape((2,) * k)
-        for gate, index, mask, bits, factor in steps:
+        for gate, index, mask, bits in steps:
             if index is None:
                 _butterfly(gate, *_pair_halves(block, gate.targets[0]), scratch)
-            elif n & mask == bits:
-                cube[index] *= factor
+            elif n & mask != bits:
+                continue
+            elif gate.kind == "diag_phase":
+                _phase(cube[index], gate.theta, scratch)
+            else:
+                cube[index] *= -1.0
 
 
-def _sign_parity(q: int, masks) -> np.ndarray:
-    """Bool per basis index x: is x a superset of an odd number of the
-    masks?  The GF(2) zeta transform of their odd counts (a mask that
-    appears twice cancels).  Its XOR passes run first on the low bits of
-    a (low bits, high bits) table, then on the high bits of its
-    transpose, so every pass reads and writes contiguous rows."""
-    odd: set = set()
-    for m in masks:
-        odd ^= {m}
-    low = q // 2
-    masks = np.fromiter(odd, dtype=np.int64, count=len(odd))
-    table = np.zeros((1 << low, 1 << (q - low)), dtype=bool)
-    table[masks & ((1 << low) - 1), masks >> low] = True
-    for i in range(q - low, q):
-        pairs = table.reshape(-1, 2, 1 << i)
-        pairs[:, 1] ^= pairs[:, 0]
-    parity = np.ascontiguousarray(table.T).reshape(-1)
-    for i in range(low, q):
-        pairs = parity.reshape(-1, 2, 1 << i)
-        pairs[:, 1] ^= pairs[:, 0]
-    return parity
+def _quarter_counts(q: int, gates) -> np.ndarray:
+    """uint8 per basis index x: the quarter turns the gates give x, mod
+    256 (a sign gate is two).  A gate adds +-k at masks, and a subset-sum
+    (zeta) transform adds up, for each x, the masks inside x."""
+    coefs: dict = {}
+    for gate in gates:
+        if gate.kind in _SIGN_KINDS:
+            terms = [(sum(1 << t for t in gate.targets), 2)]
+        else:  # by inclusion-exclusion: a 0 in the pattern on t is 1 - x_t
+            pairs = list(zip(gate.targets, gate.pattern))
+            terms = [(sum(1 << t for t, b in pairs if b), _quarters(gate))]
+            for t in (t for t, b in pairs if not b):
+                terms += [(m | 1 << t, -c) for m, c in terms]
+        for m, c in terms:
+            coefs[m] = coefs.get(m, 0) + c
+    counts = np.zeros(1 << q, dtype=np.uint8)
+    counts[list(coefs)] = [c % 256 for c in coefs.values()]
+    for i in range(q):
+        # rows under 32 bytes are walked in columns
+        a, b, order = _pair_halves(counts, i, columns=5)
+        np.add(b, a, out=b, order=order)
+    return counts
 
 
-def _flush_signs(state: np.ndarray, parity: np.ndarray) -> None:
-    """Multiply a float64 state by -1.0 where the parity is set: a float
-    repeats with period 2 under that product."""
-    np.multiply(state, -1.0, out=state, where=parity)
+def _turn(state: np.ndarray, counts: np.ndarray, scratch: np.ndarray) -> None:
+    """Multiply each amplitude by i^c, c its count mod 4 (+-1.0 on a
+    float64 state, whose counts are even), gathering the factors into the
+    scratch an eighth at a time: `take` casts indices to 8-byte integers."""
+    np.bitwise_and(counts, 3, out=counts)
+    table = _TURNS if state.dtype == np.complex128 else _TURNS.real
+    piece = max(1, scratch.size // 8)
+    factors = scratch[:piece]
+    for amps, c in zip(state.reshape(-1, piece), counts.reshape(-1, piece)):
+        np.take(table, c, out=factors, mode="clip")  # "raise" would buffer `out`
+        amps *= factors
 
 
 def _check_targets(gate: Gate, q: int) -> None:
@@ -249,7 +290,7 @@ def _check_targets(gate: Gate, q: int) -> None:
 
 
 def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
-    """Apply `gates` to `state` in place, byte for byte as one at a time.
+    """Apply `gates` to `state` in place, byte for byte as the module's fold.
 
     Only the first 2^live amplitudes may be nonzero (live = 0 from
     |0...0>, q for any state); the leading h gates on qubits live,
@@ -269,26 +310,18 @@ def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
     def scope(gate):
         if gate.kind in _BUTTERFLY_KINDS:
             return "local" if gate.targets[0] < k else "global"
-        if real and gate.kind in _SIGN_KINDS:
-            return "sign"
-        # in a block under 2^4 amplitudes a diagonal gate can fix every
-        # qubit, and numpy multiplies one amplitude in place through a
-        # scalar loop that rounds unlike its vector loop (no FMA)
-        return "local" if k == q or sum(t < k for t in gate.targets) < k else "global"
+        counted = (real and gate.kind in _SIGN_KINDS) or _quarters(gate) is not None
+        return "count" if counted else "local"
 
     for kind, run in itertools.groupby(gates[i:], key=scope):
         run = list(run)
-        if kind == "sign":
-            masks = [sum(1 << t for t in g.targets) for g in run]
-            _flush_signs(state, _sign_parity(q, masks))
-        elif kind == "local":
+        if kind == "local":
             _run_blocks(state, k, run, scratch)
-        else:
+        elif kind == "global":
             for gate in run:
-                if gate.kind in _BUTTERFLY_KINDS:
-                    _butterflies(state, gate, piece, scratch)
-                else:  # the whole state as one block
-                    _run_blocks(state, q, [gate], scratch)
+                _butterflies(state, gate, piece, scratch)
+        else:
+            _turn(state, _quarter_counts(q, run), scratch)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:

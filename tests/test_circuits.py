@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gapbench.avgcase as av
 import gapbench.gapdist as gd
+from gapbench.config import CapExceeded
 from gapbench.circuits import (
     BETA,
     GAMMA,
@@ -26,6 +27,7 @@ from gapbench.circuits import (
     iqp_gap_amplitude,
     iqp_shifted_amplitude,
     qaoa_acceptance,
+    qaoa_acceptance_exact,
     qaoa_to_circuit,
     sgap_classify,
 )
@@ -136,6 +138,25 @@ class TestQaoaForm:
                 assert acc < 1e-12
         assert max(ratios) - min(ratios) < 1e-10
         assert abs(ratios[0] - 1 / 64) < 1e-12
+
+    @example((10, all_terms(10)))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from(all_terms(n)), unique=True))))
+    def test_exact_acceptance_is_gap_squared_over_8_to_the_n(self, drawn):
+        # an exact route from the constraints alone, q = 2n <= 20; the
+        # simulator's float stays within 1e-12 of it
+        n, terms = drawn
+        f = Poly3.from_terms(n, terms)
+        exact = qaoa_acceptance_exact(f)
+        assert exact == Fraction(gap_bruteforce(f) ** 2, 8 ** n)
+        assert abs(qaoa_acceptance(f) - exact) < 1e-12
+
+    def test_exact_acceptance_is_capped(self, monkeypatch):
+        monkeypatch.setenv("GAPBENCH_DIST_CAP", "5")
+        assert qaoa_acceptance_exact(Poly3(n=2)) == Fraction(4 ** 2, 8 ** 2)
+        with pytest.raises(CapExceeded, match=r"^qaoa_acceptance_exact: q = 6 exceeds cap 5$"):
+            qaoa_acceptance_exact(Poly3(n=3))
 
     def test_acceptance_example_f(self):
         f = example_f()

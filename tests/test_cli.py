@@ -630,15 +630,21 @@ def test_non_finite_complex_output_is_strict_json(capsys, tmp_path):
                        "--method", "ryser", "--format", "structured")
     assert code == 0
     assert strict_records(out)[0]["permanent"] == ["nan", "nan"]
+
+
+@pytest.mark.parametrize("gate, message", [
+    ({"kind": "diag_phase", "targets": [0], "pattern": [1], "theta": math.nan},
+     "gate theta must be finite, got nan"),
+    ({"kind": "xrot", "targets": [0], "beta": math.inf}, "gate beta must be finite, got inf"),
+], ids=["theta-nan", "beta-inf"])
+def test_simulate_refuses_a_non_finite_angle(capsys, tmp_path, gate, message):
+    # json writes these as NaN and Infinity, which json.loads reads back
     circ = tmp_path / "circ.json"
-    circ.write_text(json.dumps({"q": 1, "gates": [
-        {"kind": "h", "targets": [0]},
-        {"kind": "diag_phase", "targets": [0], "pattern": [1], "theta": float("nan")}]}))
-    code, out, _ = run(capsys, "simulate", "--circuit", str(circ), "--amplitude", "1",
-                       "--format", "structured")
-    assert code == 0
-    rec = strict_records(out)[0]
-    assert rec["amplitude"] == ["nan", "nan"] and rec["norm"] == "nan"
+    circ.write_text(json.dumps({"q": 1, "gates": [{"kind": "h", "targets": [0]}, gate]}))
+    code, out, err = run(capsys, "simulate", "--circuit", str(circ), "--amplitude", "1",
+                         "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["error"] == {"type": "ValueError", "message": message}
 
 
 MATRIX_COMMANDS = [

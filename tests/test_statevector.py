@@ -1,9 +1,16 @@
 """Simulator tests against a dense kron-product oracle and, byte for
-byte, against the per-gate formulas."""
+byte, against the declared formulas: per gate, except that a run of
+quarter turns is one product by i^c per amplitude."""
 
+import hashlib
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import gapbench
 from gapbench import circuits, poly3, statevector
 from gapbench.config import CapExceeded
 from gapbench.statevector import (
     Circuit,
     Gate,
-    _flush_signs,
-    _sign_parity,
+    _quarter_counts,
+    _turn,
     amplitude,
     apply_gate,
     circuit_dumps,
@@ -30,13 +38,30 @@ from gapbench.statevector import (
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+TURNS = np.array([1, 1j, -1, -1j])  # i^c
+
+
+def quarter_turns(gate):
+    """k when gate is a diag_phase by theta == k*(pi/2) with |k| <= 4."""
+    if gate.kind != "diag_phase":
+        return None
+    k = round(gate.theta / (math.pi / 2))
+    return k if abs(k) <= 4 and k * (math.pi / 2) == gate.theta else None
+
+
+def diag_factor(gate):
+    """e^{i*theta}: exactly i^k for k quarter turns, else (cos, sin)."""
+    k = quarter_turns(gate)
+    if k is not None:
+        return TURNS[k % 4]
+    return complex(math.cos(gate.theta), math.sin(gate.theta))
 
 
 def dense_unitary(gate, q):
     # independent reference: build the full 2^q x 2^q matrix
     if gate.kind in ("z", "cz", "ccz", "diag_phase"):
         if gate.kind == "diag_phase":
-            pattern, phase = gate.pattern, np.exp(1j * gate.theta)
+            pattern, phase = gate.pattern, diag_factor(gate)
         else:
             pattern, phase = (1,) * len(gate.targets), -1.0
         diag = np.ones(1 << q, dtype=complex)
@@ -70,7 +95,11 @@ def random_gate(rng, q):
     k = int(rng.integers(1, min(3, q) + 1))
     targets = tuple(int(i) for i in rng.choice(q, size=k, replace=False))
     pattern = tuple(int(b) for b in rng.integers(0, 2, size=k))
-    return Gate("diag_phase", targets, theta=float(rng.uniform(0, 2 * math.pi)), pattern=pattern)
+    if rng.random() < 0.5:
+        theta = float(rng.uniform(0, 2 * math.pi))
+    else:  # a multiple of pi/2: quarter turns up to |k| = 4, generic past it
+        theta = int(rng.integers(-6, 7)) * (math.pi / 2)
+    return Gate("diag_phase", targets, theta=theta, pattern=pattern)
 
 
 class TestGateValidation:
@@ -93,6 +122,13 @@ class TestGateValidation:
             Gate("diag_phase", (0,), theta=1.0, pattern=(2,))
         with pytest.raises(ValueError):
             Gate("diag_phase", (0, 1, 2, 3), theta=1.0, pattern=(1, 1, 1, 1))
+
+    @pytest.mark.parametrize("name, value", [("theta", math.nan), ("theta", math.inf),
+                                             ("beta", -math.inf), ("beta", math.nan)])
+    def test_non_finite_angles_are_refused(self, name, value):
+        kind, extra = ("diag_phase", {"pattern": (1,)}) if name == "theta" else ("xrot", {})
+        with pytest.raises(ValueError, match=rf"^gate {name} must be finite, got {value}$"):
+            Gate(kind, (0,), **{name: value}, **extra)
 
     def test_circuit_target_range(self):
         with pytest.raises(ValueError):
@@ -149,7 +185,25 @@ class TestSingleGates:
         state = np.full(4, 0.5, dtype=complex)
         # pattern: qubit 0 = 1, qubit 1 = 0 -> basis index 0b01
         apply_gate(state, Gate("diag_phase", (0, 1), theta=math.pi / 2, pattern=(1, 0)), q)
-        assert np.allclose(state, [0.5, 0.5j, 0.5, 0.5])
+        assert np.array_equal(state, [0.5, 0.5j, 0.5, 0.5])
+
+    @pytest.mark.parametrize("k", range(-6, 7))
+    def test_quarter_turns_are_multiples_of_pi_over_2_up_to_four(self, k):
+        gate = Gate("diag_phase", (0,), theta=k * (math.pi / 2), pattern=(1,))
+        assert statevector._quarters(gate) == (k if abs(k) <= 4 else None)
+        near = Gate("diag_phase", (0,), theta=math.nextafter(gate.theta, 9.0), pattern=(1,))
+        assert statevector._quarters(near) is None
+
+    def test_a_huge_theta_keeps_the_textbook_factor(self):
+        # 1e300 / (pi/2) rounds to an integer far past the bound, so the
+        # gate is not read as quarter turns: its factor is (cos, sin)
+        gate = Gate("diag_phase", (0,), theta=1e300, pattern=(1,))
+        assert statevector._quarters(gate) is None
+        circuit = Circuit(q=1, gates=[Gate("h", (0,)), gate])
+        s = 1.0 / math.sqrt(2.0)  # the amplitude h leaves
+        assert run(circuit)[1] == complex(s * math.cos(1e300), s * math.sin(1e300))
+        assert abs(run(circuit)[1] - s * np.exp(1e300j)) < 1e-15
+        assert_same_bytes(circuit)
 
     def test_little_endian_convention(self):
         # flipping qubit 0 ... a z on qubit 0 affects odd indices
@@ -260,12 +314,33 @@ class TestCapsAndSerialization:
 # -- byte identity with the per-gate formulas ---------------------------------
 
 
-def reference_run(circuit: Circuit) -> np.ndarray:
-    """The textbook fold: each gate on its own, through fresh temporaries."""
+def reference_run(circuit: Circuit, runs: bool = True) -> np.ndarray:
+    """The declared fold, each gate on its own through fresh temporaries,
+    except that each maximal run of quarter turns is one product per
+    amplitude by i^c, c its quarter turns mod 4.  With `runs` false every
+    quarter turn is a run of its own, as `apply_gate` sees it."""
     q = circuit.q
     state = np.zeros(1 << q, dtype=np.complex128)
     state[0] = 1.0
+    x = np.arange(1 << q)
+    turns = None  # quarter turns of the open run, per amplitude
+
+    def close_run():
+        nonlocal turns
+        if turns is not None:
+            state[...] = state * TURNS[turns % 4]
+            turns = None
+
     for gate in circuit.gates:
+        k = quarter_turns(gate)
+        if k is not None:
+            match = np.all([(x >> t) & 1 == b for t, b in zip(gate.targets, gate.pattern)],
+                           axis=0)
+            turns = (0 if turns is None else turns) + k * match
+            if not runs:
+                close_run()
+            continue
+        close_run()
         if gate.kind in ("h", "xrot"):
             view = state.reshape(-1, 2, 1 << gate.targets[0])
             a = view[:, 0, :].copy()
@@ -278,24 +353,29 @@ def reference_run(circuit: Circuit) -> np.ndarray:
                 view[:, 0, :] = c * a - 1j * s * b
                 view[:, 1, :] = -1j * s * a + c * b
             continue
-        if gate.kind == "diag_phase":
-            pattern, factor = gate.pattern, np.exp(1j * gate.theta)
-        else:
-            pattern, factor = (1,) * len(gate.targets), -1.0
+        pattern = gate.pattern if gate.kind == "diag_phase" else (1,) * len(gate.targets)
         sel: list = [slice(None)] * q
         for t, bit in zip(gate.targets, pattern):
             sel[q - 1 - t] = bit
-        state.reshape((2,) * q)[tuple(sel)] *= factor
+        view = state.reshape((2,) * q)[(*sel, ...)]
+        if gate.kind == "diag_phase":
+            # separate real products, as no SIMD level fuses them
+            c, s = math.cos(gate.theta), math.sin(gate.theta)
+            re, im = view.real.copy(), view.imag.copy()
+            view.real[...] = re * c - im * s
+            view.imag[...] = re * s + im * c
+        else:
+            view *= -1.0
+    close_run()
     return state
 
 
 def assert_same_bytes(circuit: Circuit):
-    want = reference_run(circuit).tobytes()
-    assert run(circuit).tobytes() == want
+    assert run(circuit).tobytes() == reference_run(circuit).tobytes()
     state = zero_state(circuit.q)
     for gate in circuit.gates:
         apply_gate(state, gate, circuit.q)
-    assert state.tobytes() == want
+    assert state.tobytes() == reference_run(circuit, runs=False).tobytes()
 
 
 SIGNS = ("z", "cz", "ccz")
@@ -372,8 +452,9 @@ class TestByteIdentity:
             assert_same_bytes(circuits.qaoa_to_circuit(circuits.build_qaoa(f)))
 
     def test_sign_orbits_of_floats(self):
-        # k products by -1.0 equal one flush of the parity k % 2, on every
-        # class of float: +-0, +-0.7, +-5e-324, +-inf, +-nan
+        # k products by -1.0 equal one product by the factor of 2k quarter
+        # turns (+-1.0 on a float64 state), on every class of float: +-0,
+        # +-0.7, +-5e-324, +-inf, +-nan
         parts = np.array([0.0, -0.0, 0.7, -0.7, 5e-324, -5e-324, math.inf, -math.inf,
                           math.nan, -math.nan])
         with np.errstate(invalid="ignore"):
@@ -382,8 +463,7 @@ class TestByteIdentity:
                 for _ in range(k):
                     want *= -1.0
                 got = parts.copy()
-                parity = np.full(got.shape, k % 2 == 1)
-                _flush_signs(got, parity)
+                _turn(got, np.full(got.shape, 2 * k % 256, dtype=np.uint8), np.empty(80))
                 assert got.tobytes() == want.tobytes(), k
 
 
@@ -491,8 +571,10 @@ def any_gates(q):
     """A gate of any of the six kinds on q qubits."""
     qubits = st.integers(0, q - 1)
     angles = st.floats(0, 2 * math.pi)
+    # multiples of pi/2: quarter turns up to |k| = 4, generic phases past it
+    thetas = st.one_of(angles, st.integers(-6, 6).map(lambda k: k * (math.pi / 2)))
     diag = st.lists(qubits, min_size=1, max_size=min(3, q), unique=True).flatmap(
-        lambda t: st.builds(Gate, st.just("diag_phase"), st.just(tuple(t)), theta=angles,
+        lambda t: st.builds(Gate, st.just("diag_phase"), st.just(tuple(t)), theta=thetas,
                             pattern=st.tuples(*[st.integers(0, 1)] * len(t))))
     return st.one_of(
         qubits.map(lambda t: Gate("h", (t,))),
@@ -531,21 +613,37 @@ class TestBlocks:
             assert_same_bytes(circuit)
 
     def test_sign_parity_counts_supersets_mod_2(self):
+        # two quarter turns per sign gate: bit 1 of the count is the parity
+        # the GF(2) zeta transform of the masks gave
         rng = np.random.default_rng(67)
         for q in range(1, 12):
             x = np.arange(1 << q)
             for _ in range(6):
-                masks = [int(sum(1 << int(t) for t in rng.choice(q, size=k, replace=False)))
-                         for k in rng.integers(1, min(3, q) + 1, size=rng.integers(0, 30))]
-                masks += masks[: len(masks) // 2] + masks[: len(masks) // 3]  # repeats
-                hits = sum(((x & m) == m).astype(np.int64) for m in masks)
-                assert np.array_equal(_sign_parity(q, masks), hits % 2 == 1), (q, masks)
+                gates = [sign_gate(rng, q) for _ in range(rng.integers(0, 30))]
+                gates += gates[: len(gates) // 2] + gates[: len(gates) // 3]  # repeats
+                masks = [sum(1 << t for t in g.targets) for g in gates]
+                hits = sum((((x & m) == m).astype(np.int64) for m in masks), np.zeros_like(x))
+                counts = _quarter_counts(q, gates)
+                assert np.array_equal(counts & 2 != 0, hits % 2 == 1), (q, masks)
+                assert np.array_equal(counts, 2 * hits % 256), (q, masks)
+
+    def test_quarter_counts_match_the_direct_count(self):
+        rng = np.random.default_rng(73)
+        for q in range(1, 12):
+            x = np.arange(1 << q)
+            for _ in range(6):
+                gates = [g for g in (random_gate(rng, q) for _ in range(200))
+                         if quarter_turns(g) is not None][:40]
+                want = sum((quarter_turns(g) * np.all(
+                    [(x >> t) & 1 == b for t, b in zip(g.targets, g.pattern)], axis=0)
+                    for g in gates), np.zeros_like(x))
+                assert np.array_equal(_quarter_counts(q, gates), want % 256)
 
     def test_one_parity_build_per_sign_run(self, monkeypatch):
         builds = []
-        parity = statevector._sign_parity
-        monkeypatch.setattr(statevector, "_sign_parity",
-                            lambda q, masks: builds.append(len(masks)) or parity(q, masks))
+        counts = statevector._quarter_counts
+        monkeypatch.setattr(statevector, "_quarter_counts",
+                            lambda q, gates: builds.append(len(gates)) or counts(q, gates))
         f = poly3.random_poly(9, np.random.default_rng(71))
         run(circuits.build_iqp(f))
         assert builds == [len(f.terms)]
@@ -560,6 +658,46 @@ class TestBlocks:
         assert builds == [3, 2]
         assert state.astype(np.complex128).tobytes() == reference_run(
             Circuit(q=4, gates=gates)).tobytes()
+
+
+# numpy's x86-64-v2 baseline: no AVX2, AVX-512 or FMA loops
+BASELINE = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+DIGESTS = """
+import hashlib, sys
+from gapbench.statevector import circuit_loads, run
+for line in sys.stdin:
+    print(hashlib.sha256(run(circuit_loads(line)).tobytes()).hexdigest())
+"""
+
+
+def digests_at_the_simd_baseline(circuit_list) -> list:
+    src = str(Path(gapbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, **BASELINE, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", DIGESTS], env=env, check=True, text=True,
+                          capture_output=True,
+                          input="".join(circuit_dumps(c) + "\n" for c in circuit_list))
+    return done.stdout.split()
+
+
+class TestSimdLevels:
+    def test_bytes_do_not_depend_on_the_simd_level(self):
+        # the same circuits replayed in a process that numpy runs at its
+        # baseline: generic phases, quarter turns, and h and xrot alone
+        rng = np.random.default_rng(83)
+        column = [Gate("h", (t,)) for t in range(12)]
+        lone = Gate("diag_phase", (3,), theta=0.7318, pattern=(1,))
+        circuit_list = [
+            Circuit(q=12, gates=column + [Gate("xrot", (5,), beta=0.4), lone]),
+            Circuit(q=12, gates=column + [random_gate(rng, 12) for _ in range(80)]),
+            Circuit(q=16, gates=column + [random_gate(rng, 16) for _ in range(40)]),
+            Circuit(q=12, gates=[Gate("xrot", (int(t),), beta=float(rng.uniform(0, 3)))
+                                 if rng.random() < 0.5 else Gate("h", (int(t),))
+                                 for t in rng.integers(0, 12, size=60)]),
+            circuits.qaoa_to_circuit(circuits.build_qaoa(poly3.random_poly(7, rng))),
+        ]
+        here = [hashlib.sha256(run(c).tobytes()).hexdigest() for c in circuit_list]
+        assert digests_at_the_simd_baseline(circuit_list) == here
 
 
 class TestMemory:
