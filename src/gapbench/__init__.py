@@ -14,6 +14,7 @@ gapdist      moments and promise statistics of the gap distribution
 avgcase      linear-part randomization, recursion, query harnesses
 estimator    qubit counts needed to outrun a classical FLOP budget
 reproduce    the headline tables regenerated and checked (import it by name)
+jsoninput    the one type rule for JSON input files
 cli          command-line front end
 """
 
@@ -25,6 +26,7 @@ from . import (
     estimator,
     fastcount,
     gapdist,
+    jsoninput,
     permanents,
     poly3,
     statevector,
@@ -39,6 +41,7 @@ __all__ = [
     "estimator",
     "fastcount",
     "gapdist",
+    "jsoninput",
     "permanents",
     "poly3",
     "statevector",

@@ -11,6 +11,7 @@ collision-style query test with its threshold constants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -110,7 +111,10 @@ def gap_from_quasi_avg_oracle(f: Poly3, oracle: GapOracle, rng: np.random.Genera
     substitution aligning f and g (u is where their linear parts differ).
     One oracle call per round, at most n rounds, exact with an exact
     oracle; each corrupted answer shifts the result by a nonzero amount.
+    Every oracle call is a brute-force gap on n variables, so its cap is
+    checked before the first round.
     """
+    check("BRUTE_CAP", f.n, "gap_from_quasi_avg_oracle: n")
     total = 0
     scale = 1
     work = f
@@ -179,6 +183,10 @@ def find_certificate(f: Poly3) -> np.ndarray | None:
     return None
 
 
+# the largest n whose L = ceil(10 * 2^(n/2)) is within float range (2041)
+_SB_MAX_N = int(2 * (math.log2(sys.float_info.max) - math.log2(10)))
+
+
 @dataclass(frozen=True)
 class SbThresholds:
     """Constants for the collision test at size n, kept in log domain.
@@ -203,6 +211,9 @@ class SbThresholds:
     def for_n(cls, n: int) -> "SbThresholds":
         if n < 1:
             raise ValueError("n must be positive")
+        if n > _SB_MAX_N:
+            raise ValueError(f"n = {n} exceeds {_SB_MAX_N}, beyond which "
+                             f"L = ceil(10 * 2^(n/2)) is past float range")
         # L = ceil(sqrt(100 * 2^n)) in exact integer arithmetic
         target = 100 << n
         root = math.isqrt(target)

@@ -55,7 +55,9 @@ def build_iqp(f: Poly3) -> Circuit:
 
 
 def iqp_gap_amplitude(f: Poly3) -> complex:
-    """<0...0| C_f |0...0>, which equals gap(f)/2^n."""
+    """<0...0| C_f |0...0>, which equals gap(f)/2^n.  The simulator's cap
+    is checked before the circuit is built."""
+    check("SIM_CAP", f.n, "iqp_gap_amplitude: n")
     state = run(build_iqp(f))
     return complex(state[0])
 
@@ -64,8 +66,10 @@ def iqp_shifted_amplitude(f: Poly3) -> complex:
     """Amplitude of C_fbar at the linear-part index of f.
 
     fbar is f with linear terms removed; the returned amplitude equals
-    gap(f)/2^n even though the circuit never sees the linear part.
+    gap(f)/2^n even though the circuit never sees the linear part.  The
+    simulator's cap is checked before the circuit is built.
     """
+    check("SIM_CAP", f.n, "iqp_shifted_amplitude: n")
     state = run(build_iqp(strip_linear(f)))
     return complex(state[linear_part(f)])
 
@@ -153,7 +157,9 @@ def qaoa_to_circuit(spec: QaoaSpec) -> Circuit:
 
 
 def qaoa_acceptance(f: Poly3) -> float:
-    """All-zeros probability of the constraint-form circuit on 2n qubits."""
+    """All-zeros probability of the constraint-form circuit on 2n qubits.
+    The simulator's cap is checked before the program is built."""
+    check("SIM_CAP", 2 * f.n, "qaoa_acceptance: q")
     state = run(qaoa_to_circuit(build_qaoa(f)))
     return float(abs(state[0]) ** 2)
 
@@ -169,8 +175,8 @@ def qaoa_acceptance_exact(f: Poly3) -> Fraction:
     ((N_0 - N_2)^2 + (N_1 - N_3)^2) / 4^q.  The 2^q indices are checked
     against each constraint in chunks of 2^16.
     """
+    check("DIST_CAP", 2 * f.n, "qaoa_acceptance_exact: q")
     spec = build_qaoa(f)
-    check("DIST_CAP", spec.q, "qaoa_acceptance_exact: q")
     tally = np.zeros(4, dtype=np.int64)
     for start in range(0, 1 << spec.q, 1 << 16):
         x = np.arange(start, min(start + (1 << 16), 1 << spec.q), dtype=np.uint64)
@@ -359,6 +365,8 @@ def decision_harness(f: Poly3, eps: float, trials: int | None = None,
         if seed is None:
             raise ValueError("sampled class members need a seed")
         check_sample_size(trials, "decision_harness: trials")
+        # every sampled member's gap is a brute-force gap on n variables
+        check("BRUTE_CAP", f.n, "decision_harness: n")
     thresholds = SgapThresholds.for_n(f.n)
     fbar = strip_linear(f)
 

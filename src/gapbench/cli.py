@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import avgcase, circuits, config, cyclecover, estimator, fastcount
-from . import gapdist, permanents, poly3, reproduce, statevector
+from . import gapdist, jsoninput, permanents, poly3, reproduce, statevector
 
 SCHEMA_VERSION = 1
 
@@ -111,24 +111,18 @@ def _load_poly(path: str) -> poly3.Poly3:
 def _load_matrix(path: str) -> list:
     # The file's rows, [re, im] pairs read as complex numbers.  Only the JSON
     # is checked here: permanents checks the shape and picks the number type.
-    data = json.loads(Path(path).read_text())
+    data = jsoninput.parse(Path(path).read_text(), path)
     if isinstance(data, dict):
         data = data.get("matrix")
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValueError(f"{path}: expected a nested array of matrix rows")
 
-    def number(e) -> bool:
-        return isinstance(e, (int, float)) and not isinstance(e, bool)
-
     def entry(e):
-        if isinstance(e, list):
-            if len(e) != 2 or not all(number(x) for x in e):
-                raise ValueError("complex entries must be [re, im] pairs")
-            return complex(e[0], e[1])
-        if not number(e):
-            raise ValueError(f"{path}: matrix entries must be numbers or [re, im] pairs, "
-                             f"got {json.dumps(e)}")
-        return e
+        if not isinstance(e, list):
+            return jsoninput.number(e, f"{path}: matrix entry", exact=True)
+        if len(e) != 2:
+            raise ValueError(f"{path}: complex matrix entries must be [re, im] pairs")
+        return complex(*(jsoninput.number(x, f"{path}: [re, im] entry") for x in e))
 
     return [[entry(e) for e in row] for row in data]
 
@@ -141,10 +135,14 @@ def _parse_occupancy(text: str) -> tuple[int, ...]:
 
 
 def _parse_rate(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(Fraction(int(num), int(den)))
-    return float(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(Fraction(int(num), int(den)))
+        return float(text)
+    except (ValueError, ArithmeticError):
+        raise UsageError(f"--oracle corrupt:RATE wants a number or a fraction p/q, "
+                         f"got {text!r}") from None
 
 
 def _require_seed(args: argparse.Namespace, why: str) -> int:
@@ -198,7 +196,8 @@ def _cmd_gap(args, out: Output) -> int:
 def _cmd_count(args, out: Output) -> int:
     f = _load_poly(args.poly)
     if args.method == "brute":
-        ones = ((1 << f.n) - poly3.gap_bruteforce(f)) // 2
+        gap = poly3.gap_bruteforce(f)  # its cap check comes before 2^n is formed
+        ones = ((1 << f.n) - gap) // 2
     else:
         if args.free_vars is None:
             raise UsageError("--free-vars is required for --method lptwy")
@@ -254,15 +253,12 @@ def _cmd_simulate(args, out: Output) -> int:
 
 def _cmd_iqp(args, out: Output) -> int:
     f = _load_poly(args.poly)
-    circ = circuits.build_iqp(f)
-    record = {"n": f.n, "gates": len(circ.gates)}
-    human = ""
-    if args.emit_circuit:
-        Path(args.emit_circuit).write_text(statevector.circuit_dumps(circ))
-        record["emitted"] = args.emit_circuit
-        human = f"circuit written to {args.emit_circuit}"
     if not args.distribution and not args.emit_circuit:
         args.amplitude = True
+    # the library refuses an oversized n before it builds a circuit, so the
+    # amplitude or distribution comes before the circuit built here
+    record = {"n": f.n}
+    human = ""
     if args.distribution:
         probs = circuits.class_distribution(poly3.strip_linear(f))
         record["distribution"] = probs
@@ -274,12 +270,20 @@ def _cmd_iqp(args, out: Output) -> int:
         record.update({"amplitude": amp, "scaled": scaled,
                        "shifted": bool(args.shifted)})
         human = f"amplitude = {amp.real:+.8f}{amp.imag:+.8f}j, 2^n * amp = {scaled:+.4f}"
+    circ = circuits.build_iqp(f)
+    record["gates"] = len(circ.gates)
+    if args.emit_circuit:
+        Path(args.emit_circuit).write_text(statevector.circuit_dumps(circ))
+        record["emitted"] = args.emit_circuit
+        human = human or f"circuit written to {args.emit_circuit}"
     out.emit(record, human)
     return 0
 
 
 def _cmd_qaoa(args, out: Output) -> int:
     f = _load_poly(args.poly)
+    # as in iqp, the acceptance refuses an oversized n before any building
+    acc = circuits.qaoa_acceptance(f) if args.acceptance else None
     spec = circuits.build_qaoa(f)
     record = {"n": f.n, "qubits": spec.q, "constraints": spec.constraint_count,
               "gamma": circuits.GAMMA, "beta": circuits.BETA}
@@ -289,7 +293,6 @@ def _cmd_qaoa(args, out: Output) -> int:
         Path(args.emit_circuit).write_text(statevector.circuit_dumps(circ))
         record["emitted"] = args.emit_circuit
     if args.acceptance:
-        acc = circuits.qaoa_acceptance(f)
         gap = poly3.gap_bruteforce(f)
         record.update({"acceptance": acc, "gap": gap})
         if gap:

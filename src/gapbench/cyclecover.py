@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_sample_size
 from .permanents import permanent_ryser
 from .poly3 import Poly3, gap_bruteforce
 
@@ -94,12 +95,14 @@ def build_graph(f: Poly3) -> GadgetGraph:
     m = len(terms)
     if m == 0:
         raise ValueError("the empty polynomial has no term gadgets")
+    # 16 nodes per term gadget and t + 1 per variable occurring t times; the
+    # padded terms hold 3m occurrences, so no per-variable count is needed
+    total = 16 * m + f.n + 3 * m
+    check_sample_size(total * total, "build_graph: matrix entries")
     occ = [0] * f.n
     for term in terms:
         for v in term:
             occ[v] += 1
-
-    total = 16 * m + sum(t + 1 for t in occ)
     mat = np.zeros((total, total), dtype=np.int64)
 
     # term gadgets first: nodes (v', c, v, w) at 4k..4k+3

@@ -10,6 +10,7 @@ of the YES/NO promise classes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, getcontext
 from fractions import Fraction
@@ -142,6 +143,9 @@ def sampled_moment(n: int, k: int, samples: int, seed: int) -> MomentReport:
     """Monte Carlo estimate of 2^{nk} E[(gap/2^n)^{2k}] with jackknife SE."""
     if k < 1:
         raise ValueError("k must be positive")
+    if n * k >= sys.float_info.max_exp:
+        raise ValueError(f"the moment's scale 2^(n*k) = 2^{n * k} is past float range; "
+                         f"n*k must stay below {sys.float_info.max_exp}")
     gaps = GapSampler(n).gaps(samples, seed).astype(np.float64)
     stats = gaps ** (2 * k) / 2.0 ** (n * k)
     return MomentReport(n=n, k=k, kind="sampled", value=float(stats.mean()),

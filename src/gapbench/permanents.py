@@ -66,6 +66,15 @@ def _square(a) -> np.ndarray:
     return a
 
 
+def _as_array(a, dtype) -> np.ndarray:
+    """`_square(a)` as a float64 or complex128 array; an integer entry beyond
+    float range is refused in matrix words."""
+    try:
+        return np.asarray(_square(a), dtype=dtype)
+    except OverflowError:
+        raise ValueError("matrix entries must lie within float64 range") from None
+
+
 def permanent_naive(a):
     """Permanent by summing over all permutations.  Reference oracle."""
     mat = _square(a)
@@ -114,7 +123,7 @@ def permanent_ryser(a):
         dtype, run = (np.int64, (1 << 62) // bound) if bound < 1 << 62 else (object, None)
         return int(_ryser(np.array(ints, dtype=dtype), run))
     real = kind == "f"
-    mat = mat.astype(np.float64 if real else np.complex128)
+    mat = _as_array(mat, np.float64 if real else np.complex128)
     # finite entries near the float64 maximum overflow Glynn's doubled
     # columns (or complex products) to inf - inf = nan, reported below
     # rather than as numpy warnings
@@ -283,7 +292,7 @@ def dilate(a, c: float | None = None) -> Dilation:
     Requires c * ||A|| strictly below 1 so the defect blocks stay
     invertible; the default c = 1/(2 max(1, ||A||)) always qualifies.
     """
-    mat = np.asarray(_square(a), dtype=np.complex128)
+    mat = _as_array(a, np.complex128)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite")
     n = mat.shape[0]
@@ -313,7 +322,10 @@ def dilate(a, c: float | None = None) -> Dilation:
 
 def unitarity_defect(u) -> float:
     mat = np.asarray(u, dtype=np.complex128)
-    return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+    # entries past sqrt(float64 max) overflow the product: the defect is
+    # inf or nan, which no tolerance accepts, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
 
 
 # -- photonic amplitudes ------------------------------------------------------
@@ -326,7 +338,7 @@ def fock_amplitude(u, occ_in, occ_out) -> complex:
     where U_(R,R') repeats row i occ_in[i] times and column j occ_out[j]
     times.  Photon numbers must agree.
     """
-    mat = np.asarray(_square(u), dtype=np.complex128)
+    mat = _as_array(u, np.complex128)
     if not unitarity_defect(mat) <= _UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     m = mat.shape[0]

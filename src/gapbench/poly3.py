@@ -26,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import jsoninput
 from .config import check
 from .transform import gaps, packed_truth_tables
 
@@ -180,7 +181,8 @@ def gap_bruteforce(f: Poly3) -> int:
 
 def zeros_count(f: Poly3) -> int:
     """Number of assignments with f(x) = 0, i.e. (2^n + gap)/2."""
-    return ((1 << f.n) + gap_bruteforce(f)) // 2
+    gap = gap_bruteforce(f)  # its cap check comes before 2^n is formed
+    return ((1 << f.n) + gap) // 2
 
 
 def linear_part(f: Poly3) -> int:
@@ -319,27 +321,14 @@ def to_json_dict(f: Poly3) -> dict:
     }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def from_json_dict(d: dict) -> Poly3:
     if not isinstance(d, dict) or "n" not in d:
         raise ValueError("polynomial JSON must be an object with an 'n' field")
-    n = d["n"]
-    if not _is_int(n):
-        raise ValueError(f"'n' must be an int, got {n!r}")
-    terms: list[tuple[int, ...]] = []
-    for key in ("linear", "quadratic", "cubic"):
-        entries = d.get(key, [])
-        if not isinstance(entries, list):
-            raise ValueError(f"'{key}' must be a list, got {entries!r}")
-        want = "an int index" if key == "linear" else "a list of int indices"
-        for entry in entries:
-            term = [entry] if key == "linear" else entry
-            if not (isinstance(term, list) and all(map(_is_int, term))):
-                raise ValueError(f"'{key}' entry {entry!r} is not {want}")
-            terms.append(tuple(term))
+    n = jsoninput.integer(d["n"], "polynomial JSON 'n'")
+    terms = [(i,) for i in jsoninput.integers(d.get("linear", []), "polynomial JSON 'linear'")]
+    for key in ("quadratic", "cubic"):
+        terms += [jsoninput.integers(term, f"polynomial JSON {key!r} term")
+                  for term in jsoninput.array(d.get(key, []), f"polynomial JSON {key!r}")]
     for t in terms:
         if any(not 0 <= i < n for i in t):
             raise ValueError(f"index in term {t} out of range [0, {n})")
@@ -351,4 +340,4 @@ def dumps(f: Poly3) -> str:
 
 
 def loads(s: str) -> Poly3:
-    return from_json_dict(json.loads(s))
+    return from_json_dict(jsoninput.parse(s, "polynomial JSON"))

@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsoninput
 from .config import check, check_sample_size
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -359,7 +360,7 @@ def run(circuit: Circuit) -> np.ndarray:
 
 def check_index(q: int, idx: int) -> None:
     """Refuse a basis index outside [0, 2^q)."""
-    if not 0 <= idx < 1 << q:
+    if idx < 0 or int(idx).bit_length() > q:  # no 2^q is formed for a huge q
         raise ValueError(f"basis index {idx} out of range")
 
 
@@ -406,36 +407,14 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
     return {"q": circuit.q, "gates": gates}
 
 
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"circuit JSON {what} must be a list")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"circuit JSON {what} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _json_ints(value, what: str) -> tuple[int, ...]:
-    return tuple(_json_int(v, f"{what} entry") for v in _json_list(value, what))
-
-
-def _json_number(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"circuit JSON {what} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
 def circuit_from_json_dict(d: dict) -> Circuit:
     if not isinstance(d, dict):
         raise ValueError("circuit JSON must be an object")
     if "q" not in d or "gates" not in d:
         raise ValueError("circuit JSON needs 'q' and 'gates'")
-    q = _json_int(d["q"], "'q'")
+    q = jsoninput.integer(d["q"], "circuit JSON 'q'")
     gates = []
-    for rec in _json_list(d["gates"], "'gates'"):
+    for rec in jsoninput.array(d["gates"], "circuit JSON 'gates'"):
         if not isinstance(rec, dict):
             raise ValueError("circuit JSON gates must be objects")
         for key in ("kind", "targets"):
@@ -444,10 +423,10 @@ def circuit_from_json_dict(d: dict) -> Circuit:
         gates.append(
             Gate(
                 kind=rec["kind"],
-                targets=_json_ints(rec["targets"], "'targets'"),
-                theta=_json_number(rec.get("theta", 0.0), "'theta'"),
-                beta=_json_number(rec.get("beta", 0.0), "'beta'"),
-                pattern=_json_ints(rec.get("pattern", []), "'pattern'"),
+                targets=jsoninput.integers(rec["targets"], "circuit JSON 'targets'"),
+                theta=jsoninput.number(rec.get("theta", 0.0), "circuit JSON 'theta'"),
+                beta=jsoninput.number(rec.get("beta", 0.0), "circuit JSON 'beta'"),
+                pattern=jsoninput.integers(rec.get("pattern", []), "circuit JSON 'pattern'"),
             )
         )
     return Circuit(q=q, gates=gates)
@@ -458,4 +437,4 @@ def circuit_dumps(circuit: Circuit) -> str:
 
 
 def circuit_loads(s: str) -> Circuit:
-    return circuit_from_json_dict(json.loads(s))
+    return circuit_from_json_dict(jsoninput.parse(s, "circuit JSON"))

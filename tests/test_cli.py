@@ -1,12 +1,19 @@
 """End-to-end tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
+import sys
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gapbench.avgcase as avgcase
 import gapbench.circuits as circuits
@@ -100,9 +107,9 @@ def test_gap_json_input(capsys, paper_poly):
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"n": "3", "linear": [0]}, "'n' must be an int, got '3'"),
-    ({"n": 2, "linear": [[0]]}, "'linear' entry [0] is not an int index"),
-])
+    ({"n": "3", "linear": [0]}, 'polynomial JSON \'n\' must be an integer, got "3"'),
+    ({"n": 2, "linear": [[0]]}, "polynomial JSON 'linear' entry must be an integer, got [0]"),
+], ids=["n-string", "linear-list"])
 def test_gap_json_with_malformed_types_is_a_domain_error(capsys, tmp_path, doc, message):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
@@ -662,12 +669,13 @@ NOT_ROWS = "expected a nested array of matrix rows"
     ('{"rows": [[1]]}', NOT_ROWS),
     ("[[1, 2], 3]", NOT_ROWS),
     ('[[1, 2], "ab"]', NOT_ROWS),
-    ("[[1, null], [3, 4]]", "matrix entries must be numbers or [re, im] pairs, got null"),
-    ("[[1, true], [3, 4]]", "matrix entries must be numbers or [re, im] pairs, got true"),
-    ('[[1, "2"], [3, 4]]', 'matrix entries must be numbers or [re, im] pairs, got "2"'),
-    ("[[1, [0, null]], [3, 4]]", "complex entries must be [re, im] pairs"),
+    ("[[1, null], [3, 4]]", "m.json: matrix entry must be a number, got null"),
+    ("[[1, true], [3, 4]]", "m.json: matrix entry must be a number, got true"),
+    ('[[1, "2"], [3, 4]]', 'm.json: matrix entry must be a number, got "2"'),
+    ("[[1, [0, null]], [3, 4]]", "m.json: [re, im] entry must be a number, got null"),
+    ("[[1, [0, 1, 2]], [3, 4]]", "m.json: complex matrix entries must be [re, im] pairs"),
 ], ids=["bare-number", "matrix-number", "no-matrix-key", "row-number", "row-string", "null-entry",
-        "bool-entry", "string-entry", "null-in-pair"])
+        "bool-entry", "string-entry", "null-in-pair", "triple"])
 def test_malformed_matrix_file_is_a_domain_error(capsys, tmp_path, command, text, message):
     path = tmp_path / "m.json"
     path.write_text(text)
@@ -1317,3 +1325,281 @@ def test_main_returns_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["gapbench", "estimate", "--model", "iqp-mult"])
     assert main() == 0
     capsys.readouterr()
+
+
+# ----------------------------------------------------- input files and caps
+
+
+HUGE_INT = "1" + "0" * 400  # an integer JSON reads exactly, past float range
+
+
+@pytest.mark.parametrize("command, text, message", [
+    (("simulate", "--circuit", "c.json", "--amplitude", "1"),
+     '{"q": 1, "gates": [{"kind": "diag_phase", "targets": [0], "pattern": [1], '
+     f'"theta": {HUGE_INT}}}]}}',
+     f"circuit JSON 'theta' must be a number within float range, got {HUGE_INT}"),
+    (("permanent", "--method", "ryser", "--matrix", "c.json"), f"[[[{HUGE_INT}, 0]]]",
+     f"c.json: [re, im] entry must be a number within float range, got {HUGE_INT}"),
+], ids=["circuit-theta", "matrix-pair"])
+def test_an_integer_past_float_range_is_refused_by_its_field(capsys, tmp_path, monkeypatch,
+                                                             command, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(text)
+    code, out, err = run(capsys, *command, "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out) == [{"schema": 1, "error": {"type": "ValueError", "message": message}}]
+
+
+@pytest.mark.parametrize("command, prefix, what", [
+    (("gap", "--poly"), '{"n": ', "polynomial JSON"),
+    (("simulate", "--amplitude", "0", "--circuit"), "", "circuit JSON"),
+    (("permanent", "--method", "ryser", "--matrix"), "", "deep.json"),
+], ids=["gap", "simulate", "permanent"])
+def test_a_file_nested_past_the_recursion_limit_is_a_domain_error(capsys, tmp_path, monkeypatch,
+                                                                  command, prefix, what):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(prefix + "[" * 100_000)
+    code, out, err = run(capsys, *command, "deep.json", "--format", "structured")
+    assert (code, err) == (1, "")
+    error = records(out)[0]["error"]
+    limit = sys.getrecursionlimit()
+    assert error == {"type": "ValueError",
+                     "message": f"{what} nests deeper than Python's recursion limit ({limit})"}
+
+
+@pytest.fixture
+def huge_poly(tmp_path, monkeypatch):
+    # 30 bytes that name three million variables
+    for name in ("BRUTE_CAP", "SIM_CAP", "DIST_CAP"):
+        monkeypatch.delenv("GAPBENCH_" + name, raising=False)
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 3000000, "linear": [0]}\n')
+    return str(path)
+
+
+def refuse_call(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the cap check")
+    return refuse
+
+
+@pytest.mark.parametrize("flags, label", [
+    ((), "iqp_gap_amplitude: n"), (("--shifted",), "iqp_shifted_amplitude: n"),
+], ids=["amplitude", "shifted"])
+def test_iqp_refuses_an_oversized_n_before_building_a_circuit(capsys, monkeypatch, huge_poly,
+                                                               flags, label):
+    monkeypatch.setattr(circuits, "build_iqp", refuse_call("build_iqp"))
+    code, out, _ = run(capsys, "iqp", "--poly", huge_poly, *flags, "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "CapExceeded", "message": f"{label} = 3000000 exceeds cap {config.cap('SIM_CAP')}"}
+
+
+def test_qaoa_acceptance_refuses_an_oversized_n_before_building(capsys, monkeypatch, huge_poly):
+    monkeypatch.setattr(circuits, "build_qaoa", refuse_call("build_qaoa"))
+    code, out, _ = run(capsys, "qaoa", "--poly", huge_poly, "--acceptance",
+                       "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "CapExceeded",
+        "message": f"qaoa_acceptance: q = 6000000 exceeds cap {config.cap('SIM_CAP')}"}
+    with pytest.raises(config.CapExceeded, match="^qaoa_acceptance_exact: q = 6000000"):
+        circuits.qaoa_acceptance_exact(poly3.Poly3(n=3_000_000))
+
+
+def test_avg_reduce_refuses_an_oversized_n_before_the_first_round(capsys, monkeypatch,
+                                                                  huge_poly):
+    monkeypatch.setattr(avgcase, "randomize_linear", refuse_call("randomize_linear"))
+    code, out, _ = run(capsys, "avg-reduce", "--poly", huge_poly, "--seed", "1",
+                       "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "CapExceeded",
+        "message": f"gap_from_quasi_avg_oracle: n = 3000000 exceeds cap {config.cap('BRUTE_CAP')}"}
+
+
+def test_reduce_refuses_an_oversized_graph_before_allocating_it(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("GAPBENCH_DIST_CAP", raising=False)
+    path = tmp_path / "f.json"
+    path.write_text('{"n": 100000, "linear": [0]}')
+    monkeypatch.setattr(np, "zeros", refuse_call("np.zeros"))
+    code, out, _ = run(capsys, "reduce", "--poly", str(path), "--format", "structured")
+    assert code == 1
+    # 16 nodes for the term, 2 for x1 and 1 for each other variable
+    assert records(out)[0]["error"] == {
+        "type": "CapExceeded",
+        "message": f"build_graph: matrix entries = {100_019 ** 2} exceeds cap "
+                   f"2^{config.cap('DIST_CAP')}"}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (("count", "--method", "brute", "--poly"), {"n": 2 ** 64},
+     "gap_bruteforce: n = 18446744073709551616 exceeds cap {BRUTE_CAP}"),
+    (("simulate", "--amplitude", "1", "--circuit"), {"q": 2 ** 64, "gates": []},
+     "run: q = 18446744073709551616 exceeds cap {SIM_CAP}"),
+    # the sampled harness's thresholds hold 2^(n+1), a power that grows by
+    # squaring until memory runs out at a huge n; n = 40 shows the cap comes first
+    (("harness-a", "--epsilon", "0.1", "--trials", "2", "--seed", "1", "--poly"), {"n": 40},
+     "decision_harness: n = 40 exceeds cap {BRUTE_CAP}"),
+], ids=["count", "simulate", "harness-a"])
+def test_a_huge_size_is_refused_by_its_cap_before_2_to_the_n_is_formed(capsys, monkeypatch,
+                                                                       tmp_path, command, doc,
+                                                                       message):
+    # 2^(2^64) cannot be formed: without the cap check first it is a MemoryError
+    for name in ("BRUTE_CAP", "SIM_CAP"):
+        monkeypatch.delenv("GAPBENCH_" + name, raising=False)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *command, str(path), "--format", "structured")
+    assert code == 1
+    caps = {name: config.cap(name) for name in ("BRUTE_CAP", "SIM_CAP")}
+    assert records(out)[0]["error"] == {"type": "CapExceeded", "message": message.format(**caps)}
+
+
+@pytest.mark.parametrize("n", [2042, 10_000])
+def test_sb_thresholds_refuse_an_n_whose_sample_count_is_past_float_range(capsys, n):
+    assert math.isfinite(float(avgcase.SbThresholds.for_n(2041).L))
+    code, out, _ = run(capsys, "sb-accept", "--n", str(n), "--gap", "1", "--format", "structured")
+    assert code == 1
+    assert records(out)[0]["error"] == {
+        "type": "ValueError",
+        "message": f"n = {n} exceeds 2041, beyond which L = ceil(10 * 2^(n/2)) is past "
+                   f"float range"}
+
+
+@pytest.mark.parametrize("rate", ["1/0", "abc", "1/x"])
+def test_avg_reduce_refuses_a_malformed_rate_as_a_usage_error(capsys, paper_poly, rate):
+    code, out, err = run(capsys, "avg-reduce", "--poly", paper_poly, "--seed", "1",
+                         "--oracle", f"corrupt:{rate}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --oracle ")
+
+
+@pytest.mark.parametrize("command, zero", [
+    (MATRIX_COMMANDS[0], "0.0"), (MATRIX_COMMANDS[1], "0"), (MATRIX_COMMANDS[2], "0"),
+], ids=["permanent-mixed", "boson-encode", "fock-amp"])
+def test_an_integer_entry_past_float_range_is_refused_in_matrix_words(capsys, tmp_path,
+                                                                      command, zero):
+    # integer entries of any size stay exact: only a float beside them, or a
+    # complex conversion, needs them in float range
+    path = tmp_path / "m.json"
+    path.write_text(f"[[{HUGE_INT}, {zero}], [0, 1]]")
+    name, flag, *rest = command
+    code, out, err = run(capsys, name, flag, str(path), *rest, "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["error"] == {"type": "ValueError",
+                                        "message": "matrix entries must lie within float64 range"}
+
+
+def test_fock_amp_refuses_a_unitary_whose_defect_overflows_without_a_warning(capsys, tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text("[[1.3407807929942597e+154]]")  # its square overflows float64
+    code, out, err = run_with_warnings(capsys, "fock-amp", "--unitary", str(path), "--in", "1",
+                                       "--out", "1", "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["error"] == {"type": "ValueError",
+                                        "message": "matrix is not unitary within tolerance"}
+
+
+def test_sampled_moments_refuse_a_scale_past_float_range(capsys):
+    code, out, err = run_with_warnings(capsys, "stats", "--mode", "moments", "--n", "5", "--k",
+                                       "1000000", "--samples", "10", "--seed", "1",
+                                       "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["error"] == {
+        "type": "ValueError",
+        "message": "the moment's scale 2^(n*k) = 2^5000000 is past float range; "
+                   "n*k must stay below 1024"}
+
+
+# Every subcommand that reads a file, fed arbitrary JSON and boundary
+# numbers under small caps: it exits 0, 1 or 2, raises nothing (a numpy
+# RuntimeWarning is an error under this suite's settings), and its
+# structured output is strict JSON.
+
+FUZZ_CAPS = {"BRUTE_CAP": 8, "EVAL_CAP": 8, "SIM_CAP": 8, "DIST_CAP": 8,
+             "NAIVE_CAP": 5, "RYSER_CAP": 6}
+HUGE = st.sampled_from([3_000_000, 2 ** 31, 2 ** 63, 2 ** 64, 2 ** 1024, 10 ** 400])
+BOUNDARY = st.one_of(HUGE, st.sampled_from([True, False, None, 0, 1, -1, 0.5, -0.0, math.nan,
+                                            math.inf, -math.inf, 1e308, 1e-320, -(2 ** 63)]))
+SCALAR = st.one_of(BOUNDARY, st.integers(-1, 12), st.integers(), st.floats(), st.text(max_size=3))
+ANY_JSON = st.recursive(SCALAR, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                        max_leaves=10)
+
+
+def mostly(valid):
+    # well-formed three times in five, so most documents get past the loader
+    return st.one_of(valid, valid, valid, BOUNDARY, ANY_JSON)
+
+
+def polys(n, index):
+    def terms(k):
+        return st.lists(mostly(st.lists(index, min_size=k, max_size=k)), max_size=3)
+    return st.fixed_dictionaries({"n": n}, optional={
+        "linear": mostly(st.lists(index, max_size=4)), "quadratic": mostly(terms(2)),
+        "cubic": mostly(terms(3))})
+
+
+def circuits_on(q):
+    target = mostly(st.integers(0, q - 1))
+    gate = st.fixed_dictionaries(
+        {"kind": mostly(st.sampled_from(["h", "z", "cz", "ccz", "diag_phase", "xrot"])),
+         "targets": mostly(st.lists(target, min_size=1, max_size=3))},
+        optional={"theta": ANGLE, "beta": ANGLE,
+                  "pattern": mostly(st.lists(mostly(st.integers(0, 1)), min_size=1,
+                                             max_size=3))})
+    return st.fixed_dictionaries({"q": mostly(st.just(q)),
+                                  "gates": mostly(st.lists(gate, max_size=6))})
+
+
+ANGLE = st.one_of(st.floats(-7, 7), st.sampled_from([math.pi / 2, -math.pi, 2 * math.pi]),
+                  BOUNDARY, st.floats())
+NUMBER = st.one_of(st.integers(-3, 3), st.floats(-2, 2), st.floats(), BOUNDARY)
+ENTRY = mostly(st.one_of(NUMBER, NUMBER, st.lists(NUMBER, min_size=2, max_size=2)))
+ROWS = st.integers(1, 4).flatmap(lambda d: st.lists(st.lists(ENTRY, min_size=d, max_size=d),
+                                                    min_size=d, max_size=d))
+FUZZ = {
+    "poly": (st.one_of(
+        st.integers(1, 9).flatmap(lambda n: polys(st.just(n), mostly(st.integers(0, n - 1)))),
+        polys(HUGE, st.integers(0, 9)), polys(mostly(st.integers(0, 9)), SCALAR), ANY_JSON), [
+        ("gap", "--poly"), ("count", "--method", "brute", "--poly"),
+        ("count", "--method", "lptwy", "--free-vars", "1", "--poly"),
+        ("iqp", "--poly"), ("iqp", "--shifted", "--poly"), ("iqp", "--distribution", "--poly"),
+        ("qaoa", "--acceptance", "--poly"), ("sgap-classify", "--poly"),
+        ("harness-a", "--epsilon", "0.1", "--poly"),
+        ("harness-a", "--epsilon", "0.1", "--trials", "2", "--seed", "1", "--poly"),
+        ("reduce", "--verify", "--poly"), ("avg-reduce", "--seed", "1", "--poly"),
+        ("avg-reduce", "--certificate", "--poly")]),
+    "circuit": (st.one_of(st.integers(1, 6).flatmap(circuits_on), circuits_on(3_000_000),
+                          ANY_JSON), [
+        ("simulate", "--amplitude", "1", "--circuit"),
+        ("simulate", "--amplitude", "0x7", "--circuit"),
+        ("simulate", "--distribution", "--circuit"),
+        ("simulate", "--samples", "3", "--seed", "1", "--circuit")]),
+    "matrix": (st.one_of(ROWS, ROWS.map(lambda rows: {"matrix": rows}), ANY_JSON), [
+        ("permanent", "--method", "ryser", "--matrix"),
+        ("permanent", "--method", "naive", "--matrix"), ("boson-encode", "--matrix"),
+        ("fock-amp", "--in", "1,0", "--out", "0,1", "--unitary")]),
+}
+
+
+@pytest.mark.parametrize("kind", FUZZ)
+def test_every_file_input_exits_cleanly_with_strict_json(kind):
+    docs, commands = FUZZ[kind]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(commands), doc=docs)
+    def check(command, doc):
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            for name, value in FUZZ_CAPS.items():
+                mp.setenv("GAPBENCH_" + name, str(value))
+            path = Path(tmp) / "in.json"
+            path.write_text(json.dumps(doc))
+            code = dispatch([*command, str(path), "--format", "structured"])
+        assert code in (0, 1, 2)
+        strict_records(out.getvalue())
+
+    check()

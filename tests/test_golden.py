@@ -4,7 +4,7 @@ and its stdout byte for byte.
 tests/golden/cli.jsonl holds one invocation per line: its argv, its exit
 code and the sha256 of its stdout.  In argv, {golden} stands for the
 tests/golden directory and {tmp} for a fresh temporary directory; the
-digest is taken with that directory's path in stdout written as {tmp}.  A
+digest is taken with their paths in stdout written as {golden} and {tmp}.  A
 change that alters output on purpose rewrites the digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,7 +35,7 @@ def replay(argv, tmp) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = dispatch([a.format(golden=GOLDEN, tmp=tmp) for a in argv])
-    stdout = out.getvalue().replace(str(tmp), "{tmp}")
+    stdout = out.getvalue().replace(str(GOLDEN), "{golden}").replace(str(tmp), "{tmp}")
     return {"argv": argv, "exit": code,
             "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
 

@@ -254,6 +254,10 @@ class TestGap:
         assert gap_bruteforce(f) == -2
         assert zeros_count(f) == 3
 
+    def test_zeros_count_checks_its_cap_before_forming_2_to_the_n(self):
+        with pytest.raises(CapExceeded, match="^gap_bruteforce: n = 18446744073709551616 "):
+            zeros_count(Poly3(n=1 << 64))
+
     def test_empty_gap_is_full_weight(self):
         for n in (0, 1, 3, 6):
             assert gap_bruteforce(Poly3(n=n)) == 2 ** n

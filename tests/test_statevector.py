@@ -253,6 +253,14 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             amplitude(state, 4)
 
+    def test_check_index_forms_no_power_of_two(self):
+        # 2^(2^64) cannot be formed; the index range is read off bit lengths
+        statevector.check_index(1 << 64, 1 << 1000)
+        statevector.check_index(3, 7)
+        for q, idx in [(3, 8), (3, -1), (1 << 64, -1)]:
+            with pytest.raises(ValueError, match=f"^basis index {idx} out of range$"):
+                statevector.check_index(q, idx)
+
     def test_sampling_deterministic_given_seed(self):
         state = run(Circuit(q=3, gates=[Gate("h", (t,)) for t in range(3)]))
         a = sample(state, np.random.default_rng(42), size=50)
