@@ -73,35 +73,6 @@ def randomize_linear(f: Poly3, rng: np.random.Generator) -> Poly3:
     return with_linear(f, mask)
 
 
-def substitute_pivot(f: Poly3, u: int, j: int) -> Poly3:
-    """Apply the bijective substitution x_j <- x_j + sum_{k != j, u_k = 1} x_k.
-
-    This is the inverse change of variables for x_j' = sum_k u_k x_k,
-    so the result represents the same function in the new coordinates:
-    the gap is preserved and the degree stays at most 3 (a linear form
-    substituted into a monomial cannot raise its degree).
-    """
-    if not 0 <= j < f.n:
-        raise ValueError("pivot index out of range")
-    if u >> f.n:
-        raise ValueError("mask has bits beyond the variable count")
-    if not (u >> j) & 1:
-        raise ValueError("pivot bit must be set in the mask")
-    others = [k for k in range(f.n) if k != j and (u >> k) & 1]
-    out: list[tuple[int, ...]] = []
-    for term in f.terms:
-        if j not in term:
-            out.append(term)
-            continue
-        rest = tuple(v for v in term if v != j)
-        out.append(term)
-        for k in others:
-            # x_k * prod(rest): idempotent if k already occurs
-            mono = rest if k in rest else tuple(sorted(rest + (k,)))
-            out.append(mono)
-    return Poly3.from_terms(f.n, out)
-
-
 def gap_from_quasi_avg_oracle(f: Poly3, oracle: GapOracle, rng: np.random.Generator) -> int:
     """Worst-case gap from an oracle for gaps of random class members.
 
@@ -130,8 +101,8 @@ def gap_from_quasi_avg_oracle(f: Poly3, oracle: GapOracle, rng: np.random.Genera
             # g = f at this level; the oracle answer already covers it
             return total
         j = u.bit_length() - 1
-        fp = substitute_pivot(work, u, j)
-        sub, const = restrict_with_constant(fp, j, 1)
+        # x_j' = u.x pinned to 1: x_j = 1 + the other variables of u
+        sub, const = restrict_with_constant(work, j, 1, u ^ 1 << j)
         scale *= -2 if const else 2
         work = sub
 

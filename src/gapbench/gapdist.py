@@ -147,7 +147,11 @@ def sampled_moment(n: int, k: int, samples: int, seed: int) -> MomentReport:
         raise ValueError(f"the moment's scale 2^(n*k) = 2^{n * k} is past float range; "
                          f"n*k must stay below {sys.float_info.max_exp}")
     gaps = GapSampler(n).gaps(samples, seed).astype(np.float64)
-    stats = gaps ** (2 * k) / 2.0 ** (n * k)
+    with np.errstate(over="ignore"):  # an infinite term is refused below
+        stats = gaps ** (2 * k) / 2.0 ** (n * k)
+    if not np.isfinite(stats).all():
+        raise ValueError(f"a sampled term gap^(2k) / 2^(n*k) is past float range "
+                         f"at n = {n}, k = {k}")
     return MomentReport(n=n, k=k, kind="sampled", value=float(stats.mean()),
                         samples=samples, std_error=_jackknife_se(stats))
 

@@ -66,13 +66,17 @@ def _square(a) -> np.ndarray:
     return a
 
 
+# the refusal of an integer entry that meets a float beyond its range
+_PAST_FLOAT_RANGE = "matrix entries must lie within float64 range"
+
+
 def _as_array(a, dtype) -> np.ndarray:
     """`_square(a)` as a float64 or complex128 array; an integer entry beyond
     float range is refused in matrix words."""
     try:
         return np.asarray(_square(a), dtype=dtype)
     except OverflowError:
-        raise ValueError("matrix entries must lie within float64 range") from None
+        raise ValueError(_PAST_FLOAT_RANGE) from None
 
 
 def permanent_naive(a):
@@ -82,11 +86,14 @@ def permanent_naive(a):
     check("NAIVE_CAP", d, "permanent_naive: d")
     rows = mat.tolist()
     total = 0  # d = 0 has one permutation, the empty one
-    for perm in itertools.permutations(range(d)):
-        prod = 1
-        for i, j in enumerate(perm):
-            prod *= rows[i][j]
-        total += prod
+    try:
+        for perm in itertools.permutations(range(d)):
+            prod = 1
+            for i, j in enumerate(perm):
+                prod *= rows[i][j]
+            total += prod
+    except OverflowError:  # a float met an integer entry beyond its range
+        raise ValueError(_PAST_FLOAT_RANGE) from None
     return total
 
 

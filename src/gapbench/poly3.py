@@ -200,31 +200,41 @@ def with_linear(f: Poly3, mask: int) -> Poly3:
     if not 0 <= mask < (1 << f.n):
         raise ValueError(f"linear mask {mask} out of range for n = {f.n}")
     lin = tuple((i,) for i in range(f.n) if (mask >> i) & 1)
-    return Poly3(n=f.n, terms=lin + strip_linear(f).terms)
+    return Poly3(n=f.n, terms=lin + tuple(t for t in f.terms if len(t) > 1))
 
 
-def restrict_with_constant(f: Poly3, j: int, b: int) -> tuple[Poly3, int]:
-    """Substitute x_j = b and reindex; returns (polynomial, constant bit).
+def restrict_with_constant(f: Poly3, j: int, b: int, mask: int = 0) -> tuple[Poly3, int]:
+    """Substitute x_j = b + sum_{k in mask} x_k and reindex; returns
+    (polynomial, constant bit).
 
+    Bit j of the n-bit `mask` must be clear; mask = 0 pins x_j = b.  A
+    term x_j * r becomes b * r plus x_k * r for each k in the mask
+    (x_k * r = r when k occurs in r), so the degree stays at most 3.
     Variables above j shift down by one; pinning the last variable
-    leaves a polynomial on none.  Substituting b = 1 into the bare term
-    x_j produces the constant 1, which Poly3 cannot hold, so the
-    constant comes back separately:  f(x)|_{x_j=b} = poly(x') + c.
+    leaves a polynomial on none.  A term that becomes the constant 1,
+    which Poly3 cannot hold, comes back separately:
+    f(x)|_{x_j = b + mask.x} = poly(x') + c.
     """
     if not 0 <= j < f.n:
         raise ValueError(f"variable index {j} out of range [0, {f.n})")
     if b not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {b!r}")
+    if mask >> f.n or (mask >> j) & 1:
+        raise ValueError(f"substitution mask {mask} must lie in [0, 2^{f.n}) with bit {j} clear")
+    others = [k for k in range(mask.bit_length()) if (mask >> k) & 1]
     const = 0
     new_terms: list[tuple[int, ...]] = []
     for term in f.terms:
-        if b == 0 and j in term:
-            continue
-        rest = tuple(i if i < j else i - 1 for i in term if i != j)
-        if rest:
-            new_terms.append(rest)
+        if j in term:
+            rest = tuple(i for i in term if i != j)
+            monos = [rest] * b + [rest + (k,) for k in others]  # from_terms collapses x_k*x_k
         else:
-            const ^= 1
+            monos = [term]
+        for mono in monos:
+            if mono:
+                new_terms.append(tuple(i if i < j else i - 1 for i in mono))
+            else:
+                const ^= 1
     return Poly3.from_terms(f.n - 1, new_terms), const
 
 

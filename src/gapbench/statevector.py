@@ -361,7 +361,11 @@ def run(circuit: Circuit) -> np.ndarray:
 def check_index(q: int, idx: int) -> None:
     """Refuse a basis index outside [0, 2^q)."""
     if idx < 0 or int(idx).bit_length() > q:  # no 2^q is formed for a huge q
-        raise ValueError(f"basis index {idx} out of range")
+        try:
+            shown = str(idx)
+        except ValueError:  # past Python's digit limit for printing an int
+            shown = f"of {int(idx).bit_length()} bits"
+        raise ValueError(f"basis index {shown} out of range")
 
 
 def amplitude(state: np.ndarray, idx: int) -> complex:

@@ -98,46 +98,6 @@ def test_randomize_linear_deterministic():
     assert a == b
 
 
-# ----------------------------------------------------------- substitute_pivot
-
-def test_substitute_identity_mask():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        f = random_poly(4, rng)
-        j = int(rng.integers(0, 4))
-        assert av.substitute_pivot(f, 1 << j, j) == f
-
-
-def test_substitute_contract_example():
-    # x1 + x2 under x2' = x1 + x2 becomes the single variable x2
-    f = parse_poly("x1 + x2", 2)
-    fp = av.substitute_pivot(f, 0b11, 1)
-    assert fp.terms == ((1,),)
-    assert gap_bruteforce(fp) == gap_bruteforce(f) == 0
-
-
-def test_substitute_preserves_gap_randomized():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        f = random_poly(n, rng)
-        u = int(rng.integers(1, 1 << n))
-        j = int(rng.choice(np.flatnonzero([(u >> k) & 1 for k in range(n)])))
-        fp = av.substitute_pivot(f, u, j)
-        assert gap_bruteforce(fp) == gap_bruteforce(f)
-        assert all(len(t) <= 3 for t in fp.terms)
-
-
-def test_substitute_rejects_bad_pivot():
-    f = parse_poly("x1*x2", 3)
-    with pytest.raises(ValueError):
-        av.substitute_pivot(f, 0b010, 0)  # pivot bit unset
-    with pytest.raises(ValueError):
-        av.substitute_pivot(f, 0b1000, 3)  # index out of range
-    with pytest.raises(ValueError):
-        av.substitute_pivot(f, 0b11000, 2)  # mask too wide
-
-
 # ------------------------------------------------------------- the recursion
 
 def test_recursion_paper_instance():

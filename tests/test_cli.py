@@ -418,6 +418,18 @@ def test_simulate_amplitude_index_is_checked_before_simulating(capsys, monkeypat
         "type": "ValueError", "message": "basis index 99 out of range"}
 
 
+def test_simulate_names_an_unprintable_index_by_its_bit_length(capsys, tmp_path):
+    # 4,000 hex digits read as an int, but its decimal form is past
+    # Python's 4,300-digit limit for printing one
+    circ = tmp_path / "c.json"
+    circ.write_text('{"q": 2, "gates": [{"kind": "h", "targets": [0]}]}')
+    code, out, err = run(capsys, "simulate", "--circuit", str(circ),
+                         "--amplitude", "0x" + "f" * 4000, "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["error"] == {
+        "type": "ValueError", "message": "basis index of 16000 bits out of range"}
+
+
 # -------------------------------------------------- qaoa, sgap, harness
 
 
@@ -1491,6 +1503,17 @@ def test_an_integer_entry_past_float_range_is_refused_in_matrix_words(capsys, tm
                                         "message": "matrix entries must lie within float64 range"}
 
 
+def test_naive_permanent_refuses_an_integer_entry_past_float_range(capsys, tmp_path):
+    # the permutation products meet 1.5 * 10^400, which Python cannot form
+    path = tmp_path / "m.json"
+    path.write_text(f"[[1.5, {HUGE_INT}], [1, 1]]")
+    code, out, err = run(capsys, "permanent", "--method", "naive", "--matrix", str(path),
+                         "--format", "structured")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["error"] == {"type": "ValueError",
+                                        "message": "matrix entries must lie within float64 range"}
+
+
 def test_fock_amp_refuses_a_unitary_whose_defect_overflows_without_a_warning(capsys, tmp_path):
     path = tmp_path / "u.json"
     path.write_text("[[1.3407807929942597e+154]]")  # its square overflows float64
@@ -1510,6 +1533,18 @@ def test_sampled_moments_refuse_a_scale_past_float_range(capsys):
         "type": "ValueError",
         "message": "the moment's scale 2^(n*k) = 2^5000000 is past float range; "
                    "n*k must stay below 1024"}
+
+
+def test_sampled_moments_refuse_terms_past_float_range_without_a_warning(capsys):
+    # 2^(n*k) = 2^1020 is in range, but a term's power gap^680 is not
+    code, out, err = run_with_warnings(capsys, "stats", "--mode", "moments", "--n", "3", "--k",
+                                       "340", "--samples", "50", "--seed", "1",
+                                       "--format", "structured")
+    assert (code, err) == (1, "")
+    [record] = strict_records(out)
+    assert record["error"] == {
+        "type": "ValueError",
+        "message": "a sampled term gap^(2k) / 2^(n*k) is past float range at n = 3, k = 340"}
 
 
 # Every subcommand that reads a file, fed arbitrary JSON and boundary

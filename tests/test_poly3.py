@@ -396,6 +396,41 @@ class TestRestrict:
             restrict_with_constant(g, 2, 0)
         with pytest.raises(ValueError):
             restrict_with_constant(g, 0, 2)
+        # the substitution mask holds the substituted variable, or is too wide
+        with pytest.raises(ValueError, match=r"^substitution mask 3 must lie in \[0, 2\^2\) "
+                                             r"with bit 0 clear$"):
+            restrict_with_constant(g, 0, 1, 0b11)
+        with pytest.raises(ValueError, match=r"^substitution mask 4 must lie in \[0, 2\^2\) "
+                                             r"with bit 1 clear$"):
+            restrict_with_constant(g, 1, 1, 0b100)
+
+    @given(canonical_polys(), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_affine_substitution_identity(self, f, data):
+        # x_j = b + sum_{k in mask} x_k: every assignment y of the other
+        # variables extends to the x whose bit j obeys the substitution
+        n = f.n
+        j = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(0, 1))
+        mask = data.draw(st.integers(0, (1 << n) - 1)) & ~(1 << j)
+        sub, const = restrict_with_constant(f, j, b, mask)
+        assert sub.n == n - 1
+        for y in range(1 << (n - 1)):
+            x = (y >> j) << (j + 1) | y & ((1 << j) - 1)
+            x |= (b ^ bin(mask & x).count("1") & 1) << j
+            assert evaluate(sub, y) ^ const == evaluate(f, x)
+
+    def test_affine_substitution_contract_example(self):
+        # x1 + x2 under x1 + x2 = 1 (x2 = 1 + x1) is the constant 1
+        f = parse_poly("x1 + x2", 2)
+        assert restrict_with_constant(f, 1, 1, 0b01) == (Poly3(n=1), 1)
+
+    def test_an_empty_mask_is_the_plain_restriction(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            f = random_poly(4, rng)
+            j, b = int(rng.integers(0, 4)), int(rng.integers(0, 2))
+            assert restrict_with_constant(f, j, b, 0) == restrict_with_constant(f, j, b)
 
 
 class TestRandomPoly:
