@@ -207,6 +207,8 @@ def sb_acceptance_exact(gap: int, n: int, L: int | None = None) -> float:
         L = SbThresholds.for_n(n).L
     if L < 1:
         raise ValueError("L must be positive")
+    if L > sys.float_info.max:  # L * log(q1) needs L as a float
+        raise ValueError(f"L of {int(L).bit_length()} bits is past float range")
     q1 = 0.5 + abs(gap) / (1 << (n + 1))
     q0 = 1.0 - q1
     if q0 == 0.0:

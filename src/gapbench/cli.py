@@ -162,7 +162,9 @@ def _cmd_gap(args, out: Output) -> int:
         try:
             j, b = int(var), int(bit)
         except ValueError:
-            raise UsageError(f"--restrict wants x<i>=<0|1>, got {spec!r}")
+            raise UsageError(f"--restrict wants I=B, got {spec!r}")
+        if not 1 <= j <= f.n:  # I numbers the variables left, from 1
+            raise ValueError(f"--restrict index {j} out of range 1..{f.n}")
         f, c = poly3.restrict_with_constant(f, j - 1, b)
         const ^= c
     if const and args.emit_json:

@@ -24,10 +24,11 @@ numpy dispatches, to this fold over a complex128 state from |0...0>:
 
 `run` gets there in four parts:
 
-* Live-prefix first H column.  From |0...0>, while the next gate is h
-  on qubit 0, 1, 2, ... in turn, only the prefix that can be nonzero
-  is transformed; every amplitude past it is +0, and (0 + 0)*s and
-  (0 - 0)*s are +0 again.  Any other gate ends the column.
+* Written first H column.  From |0...0>, h on qubit 0, 1, ..., j-1 in
+  turn leaves the float m_j (imaginary part +0) on the first 2^j
+  amplitudes and +0 past them, as (m + 0)*s = (m - 0)*s = m*s: m_j is
+  1.0 times s j times, rounded after each product.  `run` writes that
+  state and runs only the gates after the column.
 * Cache blocks.  The state is a row of blocks of `_BLOCK_BYTES` (2^k
   amplitudes: k = 15 in complex128, 16 in float64).  A maximal run of
   local gates (other diagonal gates, h or xrot on a qubit below k) goes
@@ -197,10 +198,9 @@ def _butterfly(gate: Gate, a: np.ndarray, b: np.ndarray, order: str, scratch: np
 
 
 def _butterflies(state: np.ndarray, gate: Gate, piece: int, scratch: np.ndarray) -> None:
-    """Apply an h or xrot through contiguous pieces, at most `piece`
-    amplitudes long, of the two halves of each row of pairs."""
+    """Apply an h or xrot on a qubit t through contiguous pieces, `piece`
+    amplitudes long (2^t or less), of the two halves of each row of pairs."""
     t = gate.targets[0]
-    piece = min(piece, 1 << t)
     for row in state.reshape(-1, 2, (1 << t) // piece, piece):
         for a, b in zip(row[0], row[1]):
             _butterfly(gate, a, b, "K", scratch)
@@ -290,23 +290,13 @@ def _check_targets(gate: Gate, q: int) -> None:
             raise ValueError(f"target {t} out of range for q = {q}")
 
 
-def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
-    """Apply `gates` to `state` in place, byte for byte as the module's fold.
-
-    Only the first 2^live amplitudes may be nonzero (live = 0 from
-    |0...0>, q for any state); the leading h gates on qubits live,
-    live + 1, ... act on that prefix alone.
-    """
+def _execute(state: np.ndarray, q: int, gates) -> None:
+    """Apply `gates` to `state` in place, byte for byte as the module's fold."""
     # a block holds 2^k amplitudes, at least one pair
     k = min(q, max(1, (_BLOCK_BYTES // state.itemsize).bit_length() - 1))
     real = state.dtype == np.float64
     scratch = np.empty(1 << k, dtype=state.dtype)
     piece = 1 << (k - 1)  # half a block from each half of a row of pairs
-    i = 0
-    while i < len(gates) and gates[i].kind == "h" and gates[i].targets[0] == live:
-        live += 1
-        _butterflies(state[: 1 << live], gates[i], piece, scratch)
-        i += 1
 
     def scope(gate):
         if gate.kind in _BUTTERFLY_KINDS:
@@ -314,7 +304,7 @@ def _execute(state: np.ndarray, q: int, gates, live: int) -> None:
         counted = (real and gate.kind in _SIGN_KINDS) or _quarters(gate) is not None
         return "count" if counted else "local"
 
-    for kind, run in itertools.groupby(gates[i:], key=scope):
+    for kind, run in itertools.groupby(gates, key=scope):
         run = list(run)
         if kind == "local":
             _run_blocks(state, k, run, scratch)
@@ -332,7 +322,7 @@ def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
     if state.dtype != np.complex128:
         raise ValueError(f"state has dtype {state.dtype}, expected complex128")
     _check_targets(gate, q)
-    _execute(state, q, (gate,), live=q)
+    _execute(state, q, (gate,))
     return state
 
 
@@ -344,17 +334,19 @@ def run(circuit: Circuit) -> np.ndarray:
     check("SIM_CAP", q, "run: q")
     for gate in gates:
         _check_targets(gate, q)
-    # the IQP shape: an H column on 0..q-1, signs, then h alone, with at
-    # least one h if a sign came before (the first closing h clears -0j)
+    # the leading H column, h on qubit 0, 1, ..., j-1 in turn, leaves m_j
+    # on the first 2^j amplitudes (see the module docstring)
+    j, m = 0, 1.0
+    while j < len(gates) and (gates[j].kind, gates[j].targets) == ("h", (j,)):
+        j, m = j + 1, m * _INV_SQRT2
+    # the IQP shape: the whole column, signs, then h alone, with at least
+    # one h if a sign came before (the first closing h clears -0j)
     kinds = [g.kind for g in gates]
     end = next((i for i in range(q, len(gates)) if kinds[i] not in _SIGN_KINDS), len(gates))
-    column = [(g.kind, g.targets) for g in gates[:q]] == [("h", (t,)) for t in range(q)]
-    if column and set(kinds[end:]) <= {"h"} and (end == q or end < len(gates)):
-        state = np.zeros(1 << q)
-        state[0] = 1.0
-    else:
-        state = zero_state(q)
-    _execute(state, q, gates, live=0)
+    iqp = j == q and set(kinds[end:]) <= {"h"} and (end == q or end < len(gates))
+    state = np.zeros(1 << q, dtype=np.float64 if iqp else np.complex128)
+    state[: 1 << j] = m
+    _execute(state, q, gates[j:])
     return state.astype(np.complex128, copy=False)
 
 

@@ -210,7 +210,24 @@ def test_gap_restrict_every_variable_leaves_a_constant(capsys, tmp_path, text, p
     assert rec["value_at"] == {"assignment": 0, "value": value}
     code, out, _ = run(capsys, *argv, "--restrict", "1=0")
     assert code == 1
-    assert records(out)[0]["error"]["message"] == "variable index 0 out of range [0, 0)"
+    assert records(out)[0]["error"]["message"] == "--restrict index 1 out of range 1..0"
+
+
+@pytest.mark.parametrize("pin", ["0=1", "4=1"])
+def test_gap_restrict_names_the_index_the_user_gave(capsys, paper_poly, pin):
+    code, out, err = run(capsys, "gap", "--poly", paper_poly, "--restrict", pin,
+                         "--format", "structured")
+    assert (code, err) == (1, "")
+    index = pin.split("=")[0]
+    assert strict_records(out) == [{"schema": 1, "error": {
+        "type": "ValueError", "message": f"--restrict index {index} out of range 1..3"}}]
+
+
+@pytest.mark.parametrize("pin", ["x1=1", "1", "1=one"])
+def test_gap_restrict_usage_names_the_grammar(capsys, paper_poly, pin):
+    code, out, err = run(capsys, "gap", "--poly", paper_poly, "--restrict", pin)
+    assert (code, out) == (2, "")
+    assert f"--restrict wants I=B, got {pin!r}" in err
 
 
 def test_gap_emits_the_polynomial_on_no_variables(capsys, tmp_path):
@@ -1073,6 +1090,17 @@ def test_sb_accept_record(capsys):
     _, out, _ = run(capsys, "sb-accept", "--n", "4", "--gap", "4",
                     "--format", "structured")
     assert records(out)[0]["meets_yes_threshold"] is True
+
+
+@pytest.mark.parametrize("gap", [0, 16])
+def test_sb_accept_refuses_repetitions_past_float_range(capsys, gap):
+    # 401 digits: with gap 16 at n = 4 every sample lands on one side, so
+    # only the up-front check refuses L there
+    code, out, err = run(capsys, "sb-accept", "--n", "4", "--gap", str(gap),
+                         "--repetitions", str(10**400), "--format", "structured")
+    assert (code, err) == (1, "")
+    assert strict_records(out) == [{"schema": 1, "error": {
+        "type": "ValueError", "message": "L of 1329 bits is past float range"}}]
 
 
 # ---------------------------------------------------------------- estimate

@@ -520,6 +520,57 @@ def test_output_distribution_sums_to_one():
     assert abs(mass - 1.0) < 1e-10
 
 
+def haar_unitary(rng, m):
+    # QR of a complex Gaussian, with R's diagonal phases moved into Q
+    gauss = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(gauss)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def occupations(modes, photons):
+    """Every pattern of `photons` photons in `modes` modes."""
+    if modes == 1:
+        return [(photons,)]
+    return [(k, *rest) for k in range(photons + 1)
+            for rest in occupations(modes - 1, photons - k)]
+
+
+def definition_amplitudes(u, occ_in):
+    """Aaronson and Arkhipov's definition, for every output pattern t: the
+    coefficient of prod_j a_j^t_j in prod_i (sum_j u_ij a_j)^s_i, times
+    sqrt(prod t_j! / prod s_i!), s = occ_in.  Expanded term by term."""
+    m = len(occ_in)
+    poly = {(0,) * m: 1.0 + 0.0j}
+    for i in np.repeat(np.arange(m), occ_in):
+        grown = {}
+        for exps, coef in poly.items():
+            for j in range(m):
+                key = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+                grown[key] = grown.get(key, 0) + coef * u[i, j]
+        poly = grown
+    s_fact = math.prod(math.factorial(v) for v in occ_in)
+    return {t: c * math.sqrt(math.prod(math.factorial(v) for v in t) / s_fact)
+            for t, c in poly.items()}
+
+
+# one seeded Haar unitary and input pattern per example; over 30 seeds per
+# shape the worst differences were 4.7e-16 (definition) and 3.3e-15
+# (unitarity)
+@pytest.mark.parametrize("modes, photons", [(2, 3), (3, 3), (4, 4), (5, 3), (6, 4)])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_fock_amplitude_two_independent_routes(modes, photons, seed, data):
+    u = haar_unitary(np.random.default_rng(seed), modes)
+    patterns = occupations(modes, photons)
+    occ_in = data.draw(st.sampled_from(patterns))
+    want = definition_amplitudes(u, occ_in)
+    assert sorted(want) == sorted(patterns)
+    amps = [pm.fock_amplitude(u, occ_in, t) for t in patterns]
+    for t, amp in zip(patterns, amps):
+        assert abs(amp - want[t]) <= 1e-13, (occ_in, t)
+    assert abs(sum(abs(a) ** 2 for a in amps) - 1.0) <= 1e-13
+
+
 # -- permanent encoding -------------------------------------------------------
 
 

@@ -595,7 +595,8 @@ def any_gates(q):
 @st.composite
 def blocked_streams(draw):
     """A block size of 2^4 to 2^6 bytes, and on q <= 7 qubits an H column
-    on 0..c-1 (the live prefix) then up to 40 gates of all six kinds."""
+    on 0..c-1 (the column `run` writes) then up to 40 gates of all six
+    kinds."""
     q = draw(st.integers(1, 7))
     column = [Gate("h", (t,)) for t in range(draw(st.integers(0, q)))]
     gates = draw(st.lists(any_gates(q), max_size=40))
@@ -612,6 +613,17 @@ class TestBlocks:
         Gate("h", (0,)), Gate("xrot", (0,), beta=0.4), Gate("h", (3,)),
         Gate("xrot", (4,), beta=1.3), Gate("cz", (1, 4)),
         Gate("diag_phase", (0, 2, 3), theta=2.1, pattern=(1, 0, 0))])))
+    # partial columns (j < q): one that stops short, one that skips qubit
+    # 1, and one that repeats qubit 1; the gates after it see the written
+    # prefix of 2^j amplitudes and the +0 past it
+    @example((16, Circuit(q=5, gates=[Gate("h", (t,)) for t in range(3)] + [
+        Gate("cz", (1, 4)), Gate("h", (4,)), Gate("xrot", (3,), beta=0.9),
+        Gate("diag_phase", (2,), theta=math.pi / 2, pattern=(1,)), Gate("h", (0,))])))
+    @example((32, Circuit(q=4, gates=[Gate("h", (0,)), Gate("h", (2,)), Gate("h", (1,)),
+                                      Gate("z", (2,)), Gate("h", (3,)), Gate("h", (2,))])))
+    @example((16, Circuit(q=4, gates=[Gate("h", (0,)), Gate("h", (1,)), Gate("h", (1,)),
+                                      Gate("h", (2,)), Gate("h", (3,)), Gate("ccz", (0, 1, 3)),
+                                      Gate("diag_phase", (3, 1), theta=0.3, pattern=(1, 0))])))
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(blocked_streams())
     def test_mixed_streams_across_blocks(self, drawn):
@@ -662,7 +674,7 @@ class TestBlocks:
                           Gate("h", (1,)), Gate("z", (1,)), Gate("z", (1,))] + column
         state = np.zeros(16)
         state[0] = 1.0
-        statevector._execute(state, 4, gates, live=0)
+        statevector._execute(state, 4, gates)
         assert builds == [3, 2]
         assert state.astype(np.complex128).tobytes() == reference_run(
             Circuit(q=4, gates=gates)).tobytes()
