@@ -32,10 +32,16 @@ numpy dispatches, to this fold over a complex128 state from |0...0>:
 * Cache blocks.  The state is a row of blocks of `_BLOCK_BYTES` (2^k
   amplitudes: k = 15 in complex128, 16 in float64).  A maximal run of
   local gates (other diagonal gates, h or xrot on a qubit below k) goes
-  block by block; a diagonal gate's targets at or above k pick blocks.  h
-  or xrot on a qubit at or above k runs alone, over pieces of half a
-  block.  h and xrot run their formulas' ufuncs in order on the two
-  halves of the pairs, through one block of scratch.
+  block by block; a diagonal gate's targets at or above k pick blocks.
+  In such a run, h and xrot on qubits t, t+1, ..., t+m-1 in turn (a
+  closing column) are one walk of stages per block, Pease's constant
+  geometry: each stage reads the pairs of its qubit as two stride-2
+  views and writes its two outputs as the contiguous halves of the other
+  buffer (the block, or one block of scratch), which rotates the m bits
+  by one; after an even number of stages they are back in place, and an
+  odd last gate runs in place.  h or xrot on a qubit at or above k runs
+  alone and in place, over pieces of half a block.  Wherever they read
+  and write, h and xrot run their formulas' ufuncs in the same order.
 * Counted runs.  A run of quarter turns, or of z/cz/ccz on a float64
   state (two quarter turns each), is one uint8 count per amplitude: by
   inclusion-exclusion a gate adds +-k at masks of its targets, and one
@@ -169,41 +175,75 @@ def _pair_halves(block: np.ndarray, t: int, columns: int = 2):
     return a, b, "K"
 
 
-def _h(a: np.ndarray, b: np.ndarray, order: str, scratch: np.ndarray) -> None:
-    diff = scratch[: a.size].reshape(a.shape)
+def _h(a, b, lo, hi, order: str, diff) -> None:
+    """lo, hi = (a + b)*s, (a - b)*s; a - b goes to `diff` first."""
     np.subtract(a, b, out=diff, order=order)
-    np.add(a, b, out=a, order=order)
-    np.multiply(a, _INV_SQRT2, out=a, order=order)
-    np.multiply(diff, _INV_SQRT2, out=b, order=order)
+    np.add(a, b, out=lo, order=order)
+    np.multiply(lo, _INV_SQRT2, out=lo, order=order)
+    np.multiply(diff, _INV_SQRT2, out=hi, order=order)
 
 
-def _xrot(a: np.ndarray, b: np.ndarray, order: str, scratch: np.ndarray, beta: float) -> None:
-    u = scratch[: a.size].reshape(a.shape)
-    v = scratch[a.size : 2 * a.size].reshape(a.shape)
+def _xrot(a, b, lo, hi, order: str, beta: float, u, v) -> None:
+    """lo, hi = c*a - (1j*s)*b, (-1j*s)*a + c*b, overwriting a and b;
+    (1j*s)*b and (-1j*s)*a go to u and v first."""
     c, s = math.cos(beta), math.sin(beta)
-    np.multiply(c, a, out=u, order=order)
-    np.multiply(1j * s, b, out=v, order=order)
-    np.subtract(u, v, out=u, order=order)
-    np.multiply(-1j * s, a, out=v, order=order)
+    np.multiply(1j * s, b, out=u, order=order)
     np.multiply(c, b, out=b, order=order)
-    np.add(v, b, out=b, order=order)
-    a[...] = u
+    np.multiply(-1j * s, a, out=v, order=order)
+    np.add(v, b, out=hi, order=order)
+    np.multiply(c, a, out=a, order=order)
+    np.subtract(a, u, out=lo, order=order)
 
 
-def _butterfly(gate: Gate, a: np.ndarray, b: np.ndarray, order: str, scratch: np.ndarray) -> None:
+def _butterfly(gate: Gate, a, b, lo, hi, order: str, scratch=None) -> None:
+    """h or xrot from the pair halves a, b into lo, hi.  The first
+    results go to lo and hi, or, given a `scratch` (when lo and hi are a
+    and b), to two pieces of it."""
+    u, v = lo, hi
+    if scratch is not None:
+        u, v = (w.reshape(a.shape) for w in scratch[: 2 * a.size].reshape(2, -1))
     if gate.kind == "h":
-        _h(a, b, order, scratch)
+        _h(a, b, lo, hi, order, v)
     else:
-        _xrot(a, b, order, scratch, gate.beta)
+        _xrot(a, b, lo, hi, order, gate.beta, u, v)
 
 
 def _butterflies(state: np.ndarray, gate: Gate, piece: int, scratch: np.ndarray) -> None:
-    """Apply an h or xrot on a qubit t through contiguous pieces, `piece`
-    amplitudes long (2^t or less), of the two halves of each row of pairs."""
+    """Apply an h or xrot on a qubit t in place, through contiguous
+    pieces, `piece` amplitudes long (2^t or less), of the two halves of
+    each row of pairs."""
     t = gate.targets[0]
     for row in state.reshape(-1, 2, (1 << t) // piece, piece):
         for a, b in zip(row[0], row[1]):
-            _butterfly(gate, a, b, "K", scratch)
+            _butterfly(gate, a, b, a, b, "K", scratch)
+
+
+def _stages(block: np.ndarray, gates, other: np.ndarray) -> None:
+    """Apply h or xrot on qubits t, t+1, ..., t+m-1 in turn to a block,
+    one stage per gate, between the block and `other` (one block long).
+    A stage reads the pairs on the low bit of the middle axis of the
+    (2^(k-t-m), 2^m, 2^t) view as two stride-2 views, and writes its two
+    outputs into the contiguous low and high halves of the other buffer:
+    the m bits rotate right by one, so after m stages they are back in
+    place (Pease's constant-geometry walk).  The walk takes an even
+    number of gates, so its last stage writes the block; an odd last gate
+    runs in place after it, on the stretch's longest rows, which costs
+    less than copying the block back."""
+    t, m = gates[0].targets[0], len(gates) // 2 * 2
+    src, dst = block, other
+    for gate in gates[:m]:
+        pairs = src.reshape(-1, 1 << (m - 1), 2, 1 << t)
+        halves = dst.reshape(-1, 2, 1 << (m - 1), 1 << t)
+        views = pairs[:, :, 0], pairs[:, :, 1], halves[:, 0], halves[:, 1]
+        order = "K"
+        if t < 2:  # short rows: walk the stride-2 pair axis innermost
+            views, order = [w.transpose(2, 0, 1) for w in views], "C"
+        a, b, lo, hi = views
+        _butterfly(gate, a, b, lo, hi, order)
+        src, dst = dst, src
+    if m < len(gates):
+        a, b, order = _pair_halves(block, t + m)
+        _butterfly(gates[-1], a, b, a, b, order, other)
 
 
 def _phase(amps: np.ndarray, theta: float, scratch: np.ndarray) -> None:
@@ -228,7 +268,12 @@ def _run_blocks(state: np.ndarray, k: int, gates, scratch) -> None:
     steps = []
     for gate in gates:
         if gate.kind in _BUTTERFLY_KINDS:
-            steps.append((gate, None, 0, 0))
+            # h and xrot on ascending consecutive qubits make one stretch
+            stretch = steps[-1][0] if steps and steps[-1][1] is None else None
+            if stretch and stretch[-1].targets[0] + 1 == gate.targets[0]:
+                stretch.append(gate)
+            else:
+                steps.append(([gate], None, 0, 0))
             continue
         pattern = gate.pattern if gate.kind == "diag_phase" else (1,) * len(gate.targets)
         mask = sum(1 << t for t in gate.targets) >> k
@@ -238,7 +283,7 @@ def _run_blocks(state: np.ndarray, k: int, gates, scratch) -> None:
         cube = block.reshape((2,) * k)
         for gate, index, mask, bits in steps:
             if index is None:
-                _butterfly(gate, *_pair_halves(block, gate.targets[0]), scratch)
+                _stages(block, gate, scratch)  # `gate` is a stretch
             elif n & mask != bits:
                 continue
             elif gate.kind == "diag_phase":
@@ -384,7 +429,13 @@ def sample(state: np.ndarray, rng: np.random.Generator, size: int = 1) -> np.nda
 
 
 def norm(state: np.ndarray) -> float:
-    return float(np.sqrt(np.abs(state * state.conj()).sum()))
+    # |a|^2 per amplitude 2^16 at a time into one float64 array, summed
+    # whole: no full-length complex temporary
+    squares = np.empty(state.shape, dtype=np.float64)
+    for start in range(0, state.size, 1 << 16):
+        piece = state[start : start + (1 << 16)]
+        np.abs(piece * piece.conj(), out=squares[start : start + (1 << 16)])
+    return float(np.sqrt(squares.sum()))
 
 
 # -- circuit (de)serialization ----------------------------------------------

@@ -253,6 +253,14 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             amplitude(state, 4)
 
+    def test_norm_in_pieces_equals_the_whole_array_sum(self):
+        # squares 2^16 at a time, summed as one array: the same float as
+        # the one-expression sum, with one piece, two, or a short one
+        rng = np.random.default_rng(89)
+        for q in (1, 5, 16, 17):
+            state = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
+            assert norm(state) == float(np.sqrt(np.abs(state * state.conj()).sum()))
+
     def test_check_index_forms_no_power_of_two(self):
         # 2^(2^64) cannot be formed; the index range is read off bit lengths
         statevector.check_index(1 << 64, 1 << 1000)
@@ -603,6 +611,37 @@ def blocked_streams(draw):
     return draw(st.sampled_from([16, 32, 64])), Circuit(q=q, gates=column + gates)
 
 
+@st.composite
+def stretch_streams(draw):
+    """A block of 2^4 to 2^6 bytes or the default one, and on q <= 8
+    qubits one to three stretches: h or xrot on qubits t, t+1, ..., t+m-1
+    in turn, t below the block's local qubits, h and xrot mixed.  Diagonal
+    gates and lone gates of any kind go between them.  An IQP-shaped
+    stream (the H column, sign gates, then stretches and lone gates of h
+    alone) runs on a float64 state."""
+    block = draw(st.sampled_from([16, 32, 64, statevector._BLOCK_BYTES]))
+    q = draw(st.integers(1, 8))
+    # the local qubits of a float64 state, the more of the two dtypes
+    local = min(q, max(1, (block // 8).bit_length() - 1))
+    real = draw(st.booleans())
+    if real:
+        gates = [Gate("h", (t,)) for t in range(q)]
+        gates += draw(st.lists(sign_gates(q), max_size=6))
+        between = st.lists(st.integers(0, q - 1).map(lambda t: Gate("h", (t,))), max_size=3)
+    else:
+        gates = [Gate("h", (t,)) for t in range(draw(st.integers(0, q)))]
+        between = st.lists(any_gates(q), max_size=3)
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(0, local - 1))
+        m = draw(st.integers(1, q - t))
+        betas = draw(st.lists(st.none() if real else st.one_of(st.none(), st.floats(0, 3)),
+                              min_size=m, max_size=m))
+        gates += [Gate("h", (t + i,)) if beta is None else Gate("xrot", (t + i,), beta=beta)
+                  for i, beta in enumerate(betas)]
+        gates += draw(between)
+    return block, Circuit(q=q, gates=gates)
+
+
 class TestBlocks:
     # blocks of 16 bytes hold two complex amplitudes (a block holds at
     # least one pair), so qubit 0 is local and qubits 1..4 are not: the
@@ -631,6 +670,39 @@ class TestBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(statevector, "_BLOCK_BYTES", block_bytes)
             assert_same_bytes(circuit)
+
+    # a closing stretch that fills a 64-byte float64 block (qubits 0..2:
+    # two stages and a gate in place), and one that starts inside a
+    # 64-byte complex128 block (qubits 0 and 1) and leaves it
+    @example((64, Circuit(q=5, gates=[Gate("h", (t,)) for t in range(5)] + [
+        Gate("cz", (2, 4)), Gate("h", (0,)), Gate("h", (1,)), Gate("h", (2,)), Gate("h", (4,))])))
+    @example((64, Circuit(q=5, gates=[Gate("xrot", (1,), beta=0.6), Gate("h", (2,)),
+                                      Gate("xrot", (3,), beta=2.2)])))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(stretch_streams())
+    def test_stretches_of_butterflies(self, drawn):
+        block_bytes, circuit = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statevector, "_BLOCK_BYTES", block_bytes)
+            assert_same_bytes(circuit)
+
+    def test_closing_columns_run_as_one_stage_walk_per_block(self, monkeypatch):
+        # q = 18: the float64 IQP state is 4 blocks of 2^16 amplitudes and
+        # the complex128 QAOA state 8 blocks of 2^15; only the column's
+        # gates on qubits past a block run alone
+        walks, lone = [], []
+        stages, butterflies = statevector._stages, statevector._butterflies
+        monkeypatch.setattr(statevector, "_stages", lambda block, gates, other: walks.append(
+            tuple(g.targets[0] for g in gates)) or stages(block, gates, other))
+        monkeypatch.setattr(statevector, "_butterflies", lambda state, gate, *rest: lone.append(
+            gate.targets[0]) or butterflies(state, gate, *rest))
+        rng = np.random.default_rng(79)
+        run(circuits.build_iqp(poly3.random_poly(18, rng)))
+        assert (walks, lone) == ([tuple(range(16))] * 4, [16, 17])
+        walks.clear()
+        lone.clear()
+        run(circuits.qaoa_to_circuit(circuits.build_qaoa(poly3.random_poly(9, rng))))
+        assert (walks, lone) == ([tuple(range(15))] * 8, [15, 16, 17])
 
     def test_sign_parity_counts_supersets_mod_2(self):
         # two quarter turns per sign gate: bit 1 of the count is the parity
@@ -703,7 +775,8 @@ def digests_at_the_simd_baseline(circuit_list) -> list:
 class TestSimdLevels:
     def test_bytes_do_not_depend_on_the_simd_level(self):
         # the same circuits replayed in a process that numpy runs at its
-        # baseline: generic phases, quarter turns, and h and xrot alone
+        # baseline: generic phases, quarter turns, h and xrot alone, and
+        # stretches of them as stage walks
         rng = np.random.default_rng(83)
         column = [Gate("h", (t,)) for t in range(12)]
         lone = Gate("diag_phase", (3,), theta=0.7318, pattern=(1,))
@@ -715,6 +788,10 @@ class TestSimdLevels:
                                  if rng.random() < 0.5 else Gate("h", (int(t),))
                                  for t in rng.integers(0, 12, size=60)]),
             circuits.qaoa_to_circuit(circuits.build_qaoa(poly3.random_poly(7, rng))),
+            # stage walks over whole default blocks: float64 in 2 blocks of
+            # 2^16, complex128 in 4 blocks of 2^15 with xrot past them
+            circuits.build_iqp(poly3.random_poly(17, rng)),
+            circuits.qaoa_to_circuit(circuits.build_qaoa(poly3.random_poly(8, rng))),
         ]
         here = [hashlib.sha256(run(c).tobytes()).hexdigest() for c in circuit_list]
         assert digests_at_the_simd_baseline(circuit_list) == here
@@ -723,9 +800,11 @@ class TestSimdLevels:
 class TestMemory:
     # Measured peaks at q = 18, in 4 MiB complex128 states: IQP 1.50 (the
     # float64 state and the complex128 copy `run` returns), QAOA 1.19 (the
-    # state, one 512 KiB block of scratch, and the copy buffers numpy's
-    # ufuncs take for the strided pair views inside a block, at most three
-    # of 128 KiB).  The bound adds a sixteenth of a state (256 KiB).
+    # state, one 512 KiB block of scratch, and the uint8 counts of the
+    # quarter-turn run, a sixteenth of a state).  Its block walk peaks at
+    # 1.13: stage reads and writes are in different buffers, so no ufunc
+    # takes a copy of an input.  The bound adds a sixteenth of a state
+    # (256 KiB).
     @pytest.mark.parametrize("build, measured", [("iqp", 1.5), ("qaoa", 1.19)])
     def test_run_peak_stays_within_a_sixteenth_state_of_the_measured_peak(self, build,
                                                                           measured):
@@ -741,3 +820,16 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= (measured + 1 / 16) * (16 << 18)
+
+    def test_norm_peak_stays_under_eight_tenths_of_a_state(self):
+        # the float64 squares (half a state) and one piece of 2^16 complex
+        # products (a quarter of a state at q = 18); measured 0.75
+        rng = np.random.default_rng(97)
+        state = rng.standard_normal(1 << 18) + 1j * rng.standard_normal(1 << 18)
+        tracemalloc.start()
+        try:
+            norm(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.8 * (16 << 18)
