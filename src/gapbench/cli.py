@@ -20,7 +20,8 @@ timings are therefore opt-in via --timings and never enter the
 reproduction report.
 
 Exit codes: 0 success, 1 domain error (bad input values, cap overruns,
-unreadable files), 2 usage error (bad grammar, missing required flags).
+unreadable files, a failed allocation), 2 usage error (bad grammar,
+missing required flags).
 """
 
 from __future__ import annotations
@@ -789,6 +790,11 @@ def dispatch(argv=None) -> int:
     except (ValueError, ArithmeticError, KeyError, OSError,
             np.linalg.LinAlgError) as exc:
         out.error(exc)
+        return 1
+    except MemoryError as exc:
+        # one record of the builtin type, whichever subclass numpy raised;
+        # Python's own MemoryError often carries no message
+        out.error(MemoryError(str(exc) or "out of memory"))
         return 1
     if args.timings:
         elapsed = time.perf_counter() - started

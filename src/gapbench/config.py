@@ -3,9 +3,14 @@
 Every exponential-cost routine in the package refuses work beyond a cap
 instead of thrashing the machine, by calling `check` with its cap's
 name.  Caps are read from GAPBENCH_<NAME> environment variables and
-clamped to hard ceilings chosen so memory use stays within a desktop
-budget.  Every routine that draws a caller-given number of samples
-refuses it up front with `check_sample_size`.
+clamped to hard ceilings.  A cap bounds a size (a qubit, variable or
+draw count, a dimension), not bytes, and the ceilings do not keep memory
+within a desktop budget: at SIM_CAP's ceiling of 30 qubits,
+`circuits.iqp_gap_amplitude` needs 24 GiB (a float64 state and its
+complex128 copy, 24 B per amplitude).  An allocation that fails anyway
+raises MemoryError, which the CLI turns into one error record (exit 1).
+Every routine that draws a caller-given number of samples refuses it up
+front with `check_sample_size`.
 """
 
 import functools

@@ -22,52 +22,51 @@ numpy dispatches, to this fold over a complex128 state from |0...0>:
   every amplitude by i^c from (1, 1j, -1, -1j), c its quarter turns mod
   4.  Such products are exact, whatever the run's order or the CPU.
 
-`run` gets there in four parts:
+`_plan` works out a stream's structure in one place, and `run` writes
+the state the column leaves, then runs the plan's steps in one loop:
 
 * Written first H column.  From |0...0>, h on qubit 0, 1, ..., j-1 in
   turn leaves the float m_j (imaginary part +0) on the first 2^j
   amplitudes and +0 past them, as (m + 0)*s = (m - 0)*s = m*s: m_j is
-  1.0 times s j times, rounded after each product.  `run` writes that
-  state and runs only the gates after the column.
-* Cache blocks.  The state is a row of blocks of `_BLOCK_BYTES` (2^k
-  amplitudes: k = 15 in complex128, 16 in float64).  A maximal run of
-  local gates (other diagonal gates, h or xrot on a qubit below k) goes
-  block by block; a diagonal gate's targets at or above k pick blocks.
-  In such a run, h and xrot on qubits t, t+1, ..., t+m-1 in turn (a
-  closing column) are one walk of stages per block, Pease's constant
-  geometry: each stage reads the pairs of its qubit as two stride-2
-  views and writes its two outputs as the contiguous halves of the other
-  buffer (the block, or one block of scratch), which rotates the m bits
-  by one; after an even number of stages they are back in place, and an
-  odd last gate runs in place.  h or xrot on a qubit at or above k runs
-  alone and in place, over pieces of half a block.  Wherever they read
-  and write, h and xrot run their formulas' ufuncs in the same order.
-* Counted runs.  A run of quarter turns, or of z/cz/ccz on a float64
-  state (two quarter turns each), is one uint8 count per amplitude: by
+  1.0 times s j times, rounded after each product.
+* Steps.  The state is a row of blocks of `_BLOCK_BYTES` (2^k
+  amplitudes: k = 15 in complex128, 16 in float64), and the gates after
+  the column make maximal runs, one step each.  A block run of local
+  gates (other diagonal gates, h or xrot on a qubit below k) goes block
+  by block; a diagonal gate's targets at or above k pick blocks.  In it,
+  h and xrot on qubits t, t+1, ..., t+m-1 in turn (a stretch) are one
+  walk of stages per block, Pease's constant geometry: each stage reads
+  the pairs of its qubit as two stride-2 views and writes its two
+  outputs as the contiguous halves of the other buffer (the block, or
+  one block of scratch), which rotates the m bits by one; after an even
+  number of stages they are back in place, and an odd last gate runs in
+  place.  h or xrot on a qubit at or above k is a step of its own, in
+  place, over pieces of half a block.  Wherever they read and write, h
+  and xrot run their formulas' ufuncs in the same order.
+* Count runs.  A run of quarter turns, or of z/cz/ccz on a float64 state
+  (two quarter turns each), is one uint8 count per amplitude: by
   inclusion-exclusion a gate adds +-k at masks of its targets, and one
   subset-sum (zeta) transform adds up the masks inside each index (mod
-  256, which keeps the count mod 4).  The factors are gathered into the
-  scratch and multiplied in; on a float64 state they are +-1.0, and -1.0
-  has period 2.  On a complex128 state -1.0 is not negation on signed
-  zeros, so each sign gate is a local gate there.
+  256, which keeps the count mod 4).  On a float64 state the factors i^c
+  are +-1.0, and -1.0 has period 2.  On a complex128 state -1.0 is not
+  negation on signed zeros, so each sign gate is a local gate there.
 * IQP streams in float64.  A stream of h on qubits 0, 1, ..., q-1 in
   turn, then only z/cz/ccz, then only h (at least one if a sign gate
   came before) runs on a float64 state, which `run` returns as
-  complex128.  The bytes agree: after the first column every amplitude
-  is the same float m with imaginary part +0.  Sign gates never meet a
-  zero, so the complex products leave each real part at +-m, with
-  imaginary part +0 on negative amplitudes and +-0 on positive ones.
-  The first closing h makes every imaginary part +0, its real parts
-  are the float butterflies, and later h gates keep both.  Without a
-  closing h a -0 imaginary part survives, so such streams, like every
+  complex128 with the same bytes.  After the first column every
+  amplitude is the same float m with imaginary part +0.  Sign gates
+  never meet a zero, so complex products leave each real part at +-m,
+  with imaginary part +0 on negative amplitudes and +-0 on positive
+  ones.  The first closing h makes every imaginary part +0, its real
+  parts are the float butterflies, and later h gates keep both.  Without
+  a closing h a -0 imaginary part survives, so such streams, like every
   other, run in complex128.
 
-`apply_gate` runs the same kernels on a one-gate stream.
+`apply_gate` runs the steps of its one gate on a complex128 state.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -153,14 +152,13 @@ def _quarters(gate: Gate):
     return k if gate.kind == "diag_phase" and exact else None
 
 
-def _pattern_index(k: int, targets, pattern) -> tuple:
-    # selects, in a (2,)*k view of a block, the entries whose target bits
-    # below k match (a view even when every axis is fixed); targets at or
-    # above k pick blocks instead
+def _pattern_index(k: int, targets, bits: int) -> tuple:
+    # selects, in a (2,)*k view of a block, the entries whose target bits below
+    # k match `bits` (a view even if every axis is fixed); the others pick blocks
     sel: list = [slice(None)] * k
-    for t, b in zip(targets, pattern):
+    for t in targets:
         if t < k:
-            sel[k - 1 - t] = b  # axis 0 is the most significant qubit
+            sel[k - 1 - t] = bits >> t & 1  # axis 0 is the most significant qubit
     return (*sel, ...)
 
 
@@ -208,11 +206,10 @@ def _butterfly(gate: Gate, a, b, lo, hi, order: str, scratch=None) -> None:
         _xrot(a, b, lo, hi, order, gate.beta, u, v)
 
 
-def _butterflies(state: np.ndarray, gate: Gate, piece: int, scratch: np.ndarray) -> None:
-    """Apply an h or xrot on a qubit t in place, through contiguous
-    pieces, `piece` amplitudes long (2^t or less), of the two halves of
-    each row of pairs."""
-    t = gate.targets[0]
+def _butterflies(state: np.ndarray, gate: Gate, scratch: np.ndarray) -> None:
+    """h or xrot on a qubit at or above the block's, in place, through
+    contiguous half-block pieces of the two halves of each row of pairs."""
+    t, piece = gate.targets[0], scratch.size // 2
     for row in state.reshape(-1, 2, (1 << t) // piece, piece):
         for a, b in zip(row[0], row[1]):
             _butterfly(gate, a, b, a, b, "K", scratch)
@@ -262,26 +259,13 @@ def _phase(amps: np.ndarray, theta: float, scratch: np.ndarray) -> None:
     re[...] = u
 
 
-def _run_blocks(state: np.ndarray, k: int, gates, scratch) -> None:
-    """Apply local gates (each maps every block of 2^k amplitudes to
-    itself) one block at a time: every gate on a block before the next."""
-    steps = []
-    for gate in gates:
-        if gate.kind in _BUTTERFLY_KINDS:
-            # h and xrot on ascending consecutive qubits make one stretch
-            stretch = steps[-1][0] if steps and steps[-1][1] is None else None
-            if stretch and stretch[-1].targets[0] + 1 == gate.targets[0]:
-                stretch.append(gate)
-            else:
-                steps.append(([gate], None, 0, 0))
-            continue
-        pattern = gate.pattern if gate.kind == "diag_phase" else (1,) * len(gate.targets)
-        mask = sum(1 << t for t in gate.targets) >> k
-        bits = sum(b << t for t, b in zip(gate.targets, pattern)) >> k
-        steps.append((gate, _pattern_index(k, gate.targets, pattern), mask, bits))
-    for n, block in enumerate(state.reshape(-1, 1 << k)):
-        cube = block.reshape((2,) * k)
-        for gate, index, mask, bits in steps:
+def _run_blocks(state: np.ndarray, entries, scratch: np.ndarray) -> None:
+    """Apply a block run one block (the scratch's size) at a time, every
+    entry on a block before the next: a stretch of h/xrot (index None), or
+    a diagonal gate, its pattern index, and its target mask and bits >> k."""
+    for n, block in enumerate(state.reshape(-1, scratch.size)):
+        cube = block.reshape((2,) * (scratch.size.bit_length() - 1))
+        for gate, index, mask, bits in entries:
             if index is None:
                 _stages(block, gate, scratch)  # `gate` is a stretch
             elif n & mask != bits:
@@ -292,23 +276,12 @@ def _run_blocks(state: np.ndarray, k: int, gates, scratch) -> None:
                 cube[index] *= -1.0
 
 
-def _quarter_counts(q: int, gates) -> np.ndarray:
-    """uint8 per basis index x: the quarter turns the gates give x, mod
-    256 (a sign gate is two).  A gate adds +-k at masks, and a subset-sum
+def _quarter_counts(q: int, coefs) -> np.ndarray:
+    """uint8 per basis index x: the quarter turns a count run gives x, mod
+    256.  Its (mask, turns) pairs put turns at masks, and a subset-sum
     (zeta) transform adds up, for each x, the masks inside x."""
-    coefs: dict = {}
-    for gate in gates:
-        if gate.kind in _SIGN_KINDS:
-            terms = [(sum(1 << t for t in gate.targets), 2)]
-        else:  # by inclusion-exclusion: a 0 in the pattern on t is 1 - x_t
-            pairs = list(zip(gate.targets, gate.pattern))
-            terms = [(sum(1 << t for t, b in pairs if b), _quarters(gate))]
-            for t in (t for t, b in pairs if not b):
-                terms += [(m | 1 << t, -c) for m, c in terms]
-        for m, c in terms:
-            coefs[m] = coefs.get(m, 0) + c
     counts = np.zeros(1 << q, dtype=np.uint8)
-    counts[list(coefs)] = [c % 256 for c in coefs.values()]
+    counts[[mask for mask, _ in coefs]] = [c % 256 for _, c in coefs]
     for i in range(q):
         # rows under 32 bytes are walked in columns
         a, b, order = _pair_halves(counts, i, columns=5)
@@ -316,15 +289,15 @@ def _quarter_counts(q: int, gates) -> np.ndarray:
     return counts
 
 
-def _turn(state: np.ndarray, counts: np.ndarray, scratch: np.ndarray) -> None:
+def _turn(state: np.ndarray, coefs, scratch: np.ndarray) -> None:
     """Multiply each amplitude by i^c, c its count mod 4 (+-1.0 on a
     float64 state, whose counts are even), gathering the factors into the
     scratch an eighth at a time: `take` casts indices to 8-byte integers."""
+    counts = _quarter_counts(state.size.bit_length() - 1, coefs)
     np.bitwise_and(counts, 3, out=counts)
     table = _TURNS if state.dtype == np.complex128 else _TURNS.real
-    piece = max(1, scratch.size // 8)
-    factors = scratch[:piece]
-    for amps, c in zip(state.reshape(-1, piece), counts.reshape(-1, piece)):
+    factors = scratch[: max(1, scratch.size // 8)]
+    for amps, c in zip(state.reshape(-1, factors.size), counts.reshape(-1, factors.size)):
         np.take(table, c, out=factors, mode="clip")  # "raise" would buffer `out`
         amps *= factors
 
@@ -335,29 +308,64 @@ def _check_targets(gate: Gate, q: int) -> None:
             raise ValueError(f"target {t} out of range for q = {q}")
 
 
-def _execute(state: np.ndarray, q: int, gates) -> None:
-    """Apply `gates` to `state` in place, byte for byte as the module's fold."""
+def _plan(q: int, gates, dtype=None) -> tuple:
+    """(j, m, dtype, k, steps): a gate stream's structure.  From |0...0>
+    (no `dtype`) h on qubit 0, 1, ..., j-1 in turn is the column written as
+    m, and the IQP shape picks float64; given a `dtype`, j = 0.  Blocks hold
+    2^k amplitudes.  A step (kernel, payload) runs as kernel(state, payload,
+    scratch), the payload a count run's (mask, quarter turns) pairs, a
+    block run's entries, or a lone h or xrot on a qubit at or above k."""
+    j, m = 0, 1.0
+    if dtype is None:
+        while j < len(gates) and (gates[j].kind, gates[j].targets) == ("h", (j,)):
+            j, m = j + 1, m * _INV_SQRT2
+        # the IQP shape: the whole column, signs, then h alone (one at least after a sign)
+        kinds = [g.kind for g in gates]
+        end = next((i for i in range(q, len(gates)) if kinds[i] not in _SIGN_KINDS), len(gates))
+        iqp = j == q and set(kinds[end:]) <= {"h"} and (end == q or end < len(gates))
+        dtype = np.float64 if iqp else np.complex128
     # a block holds 2^k amplitudes, at least one pair
-    k = min(q, max(1, (_BLOCK_BYTES // state.itemsize).bit_length() - 1))
-    real = state.dtype == np.float64
-    scratch = np.empty(1 << k, dtype=state.dtype)
-    piece = 1 << (k - 1)  # half a block from each half of a row of pairs
-
-    def scope(gate):
-        if gate.kind in _BUTTERFLY_KINDS:
-            return "local" if gate.targets[0] < k else "global"
-        counted = (real and gate.kind in _SIGN_KINDS) or _quarters(gate) is not None
-        return "count" if counted else "local"
-
-    for kind, run in itertools.groupby(gates, key=scope):
-        run = list(run)
-        if kind == "local":
-            _run_blocks(state, k, run, scratch)
-        elif kind == "global":
-            for gate in run:
-                _butterflies(state, gate, piece, scratch)
+    k = min(q, max(1, (_BLOCK_BYTES // np.dtype(dtype).itemsize).bit_length() - 1))
+    steps: list = []
+    for gate in gates[j:]:
+        if gate.kind in _BUTTERFLY_KINDS and gate.targets[0] >= k:
+            steps.append((_butterflies, gate))
+            continue
+        turns = 2 if dtype == np.float64 and gate.kind in _SIGN_KINDS else _quarters(gate)
+        kernel = _run_blocks if turns is None else _turn
+        if not steps or steps[-1][0] is not kernel:
+            steps.append((kernel, [] if turns is None else {}))
+        payload = steps[-1][1]
+        mask = bits = sum(1 << t for t in gate.targets)
+        if gate.kind == "diag_phase":  # the target bits its pattern matches
+            bits = sum(b << t for t, b in zip(gate.targets, gate.pattern))
+        if gate.kind in _BUTTERFLY_KINDS:  # h/xrot on ascending consecutive qubits: a stretch
+            stretch = payload[-1][0] if payload and payload[-1][1] is None else ()
+            if stretch and stretch[-1].targets[0] + 1 == gate.targets[0]:
+                payload[-1] = (stretch + (gate,), None, 0, 0)
+            else:
+                payload.append(((gate,), None, 0, 0))
+        elif turns is None:
+            payload.append((gate, _pattern_index(k, gate.targets, bits), mask >> k, bits >> k))
         else:
-            _turn(state, _quarter_counts(q, run), scratch)
+            terms, zeros = [(bits, turns)], mask ^ bits
+            while zeros:  # by inclusion-exclusion: a 0 in the pattern on t is 1 - x_t
+                low = zeros & -zeros
+                terms += [(x | low, -c) for x, c in terms]
+                zeros ^= low
+            for x, c in terms:
+                payload[x] = payload.get(x, 0) + c
+    for i, (kernel, payload) in enumerate(steps):
+        if kernel is not _butterflies:  # a count run freezes as (mask, turns) pairs
+            steps[i] = (kernel, tuple(payload.items() if kernel is _turn else payload))
+    return j, m, dtype, k, tuple(steps)
+
+
+def _execute(state: np.ndarray, k: int, steps) -> None:
+    """Run a plan's steps on `state` in place, with one block of scratch."""
+    scratch = np.empty(1 << k, dtype=state.dtype)
+    for kernel, payload in steps:
+        kernel(state, payload, scratch)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
@@ -367,31 +375,22 @@ def apply_gate(state: np.ndarray, gate: Gate, q: int) -> np.ndarray:
     if state.dtype != np.complex128:
         raise ValueError(f"state has dtype {state.dtype}, expected complex128")
     _check_targets(gate, q)
-    _execute(state, q, (gate,))
+    *_, k, steps = _plan(q, (gate,), np.complex128)
+    _execute(state, k, steps)
     return state
 
 
 def run(circuit: Circuit) -> np.ndarray:
-    """Run the circuit from |0...0> and return the final amplitudes.
-
-    The result is a complex128 array whichever dtype the gates ran in."""
+    """Run the circuit from |0...0> and return the final amplitudes, a
+    complex128 array whichever dtype the gates ran in."""
     q, gates = circuit.q, circuit.gates
     check("SIM_CAP", q, "run: q")
     for gate in gates:
         _check_targets(gate, q)
-    # the leading H column, h on qubit 0, 1, ..., j-1 in turn, leaves m_j
-    # on the first 2^j amplitudes (see the module docstring)
-    j, m = 0, 1.0
-    while j < len(gates) and (gates[j].kind, gates[j].targets) == ("h", (j,)):
-        j, m = j + 1, m * _INV_SQRT2
-    # the IQP shape: the whole column, signs, then h alone, with at least
-    # one h if a sign came before (the first closing h clears -0j)
-    kinds = [g.kind for g in gates]
-    end = next((i for i in range(q, len(gates)) if kinds[i] not in _SIGN_KINDS), len(gates))
-    iqp = j == q and set(kinds[end:]) <= {"h"} and (end == q or end < len(gates))
-    state = np.zeros(1 << q, dtype=np.float64 if iqp else np.complex128)
-    state[: 1 << j] = m
-    _execute(state, q, gates[j:])
+    j, m, dtype, k, steps = _plan(q, gates)
+    state = np.zeros(1 << q, dtype=dtype)
+    state[: 1 << j] = m  # the state the written column leaves
+    _execute(state, k, steps)
     return state.astype(np.complex128, copy=False)
 
 
@@ -423,7 +422,7 @@ def sample(state: np.ndarray, rng: np.random.Generator, size: int = 1) -> np.nda
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise ValueError(f"state norm {total:.6f} is not 1 within 1e-6")
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(probs, out=probs)
     cdf[-1] = 1.0
     return np.searchsorted(cdf, rng.random(size), side="right")
 

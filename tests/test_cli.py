@@ -1278,6 +1278,34 @@ def test_cap_overrun_is_domain_error(capsys, tmp_path):
     assert records(out)[0]["error"]["type"] == "CapExceeded"
 
 
+@pytest.mark.parametrize("raised", ["python", "numpy"])
+def test_a_failed_allocation_is_one_error_record(capsys, monkeypatch, cubic_poly, tmp_path,
+                                                 raised):
+    # numpy raises a private MemoryError subclass with a message, Python's
+    # own MemoryError may have none: the record names the builtin type
+    # and says something either way
+    circ = tmp_path / "c7.json"
+    run(capsys, "iqp", "--poly", cubic_poly, "--emit-circuit", str(circ))
+
+    def out_of_memory(*args, **kwargs):
+        if raised == "numpy":
+            np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: refused, nothing allocated
+        raise MemoryError
+
+    monkeypatch.setattr(statevector, "run", out_of_memory)
+    argv = ("simulate", "--circuit", str(circ), "--amplitude", "0", "--format")
+    code, out, err = run(capsys, *argv, "structured")
+    assert (code, err) == (1, "")
+    [record] = strict_records(out)
+    assert set(record) == {"schema", "error"}
+    assert record["error"]["type"] == "MemoryError" and record["error"]["message"]
+    if raised == "numpy":
+        assert record["error"]["message"].startswith("Unable to allocate 4.00 EiB")
+    code, out, err = run(capsys, *argv, "human")
+    assert (code, out) == (1, "")
+    assert err == f"error: {record['error']['message']}\n"
+
+
 def test_boson_encode_resolves_the_ryser_cap(capsys, tmp_path):
     # 11 exceeds the naive-permanent cap (10) but not the Ryser cap (30)
     mat = tmp_path / "eye.json"

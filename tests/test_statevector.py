@@ -470,16 +470,19 @@ class TestByteIdentity:
     def test_sign_orbits_of_floats(self):
         # k products by -1.0 equal one product by the factor of 2k quarter
         # turns (+-1.0 on a float64 state), on every class of float: +-0,
-        # +-0.7, +-5e-324, +-inf, +-nan
+        # +-0.7, +-5e-324, +-inf, +-nan, and, to fill 2^4 amplitudes, +-1,
+        # +-the least normal float and +-the largest finite one
+        tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
         parts = np.array([0.0, -0.0, 0.7, -0.7, 5e-324, -5e-324, math.inf, -math.inf,
-                          math.nan, -math.nan])
+                          math.nan, -math.nan, 1.0, -1.0, tiny, -tiny, big, -big])
         with np.errstate(invalid="ignore"):
             for k in range(41):
                 want = parts.copy()
                 for _ in range(k):
                     want *= -1.0
                 got = parts.copy()
-                _turn(got, np.full(got.shape, 2 * k % 256, dtype=np.uint8), np.empty(80))
+                # one count run that puts 2k quarter turns on every index
+                _turn(got, ((0, 2 * k),), np.empty(16))
                 assert got.tobytes() == want.tobytes(), k
 
 
@@ -505,6 +508,14 @@ def iqp_streams(draw):
     tail = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=2 * q))
     gates = [Gate("h", (t,)) for t in range(q)] + [pool[i] for i in picks]
     return Circuit(q=q, gates=gates + [Gate("h", (t,)) for t in tail])
+
+
+def planned_counts(q, gates, dtype):
+    """The uint8 counts of `gates` on a state of `dtype`, which `_plan`
+    makes one count run (or none, for no gates)."""
+    *_, steps = statevector._plan(q, gates, dtype)
+    assert [kernel for kernel, _ in steps] == [_turn] * len(steps) and len(steps) <= 1
+    return _quarter_counts(q, steps[0][1] if steps else ())
 
 
 def run_dtypes(monkeypatch, circuit_list):
@@ -715,7 +726,7 @@ class TestBlocks:
                 gates += gates[: len(gates) // 2] + gates[: len(gates) // 3]  # repeats
                 masks = [sum(1 << t for t in g.targets) for g in gates]
                 hits = sum((((x & m) == m).astype(np.int64) for m in masks), np.zeros_like(x))
-                counts = _quarter_counts(q, gates)
+                counts = planned_counts(q, gates, np.float64)
                 assert np.array_equal(counts & 2 != 0, hits % 2 == 1), (q, masks)
                 assert np.array_equal(counts, 2 * hits % 256), (q, masks)
 
@@ -729,13 +740,15 @@ class TestBlocks:
                 want = sum((quarter_turns(g) * np.all(
                     [(x >> t) & 1 == b for t, b in zip(g.targets, g.pattern)], axis=0)
                     for g in gates), np.zeros_like(x))
-                assert np.array_equal(_quarter_counts(q, gates), want % 256)
+                assert np.array_equal(planned_counts(q, gates, np.complex128), want % 256)
 
     def test_one_parity_build_per_sign_run(self, monkeypatch):
+        # a build records its run's sign gates, each two quarter turns at
+        # the mask of its targets
         builds = []
         counts = statevector._quarter_counts
-        monkeypatch.setattr(statevector, "_quarter_counts",
-                            lambda q, gates: builds.append(len(gates)) or counts(q, gates))
+        monkeypatch.setattr(statevector, "_quarter_counts", lambda q, coefs: builds.append(
+            sum(c for _, c in coefs) // 2) or counts(q, coefs))
         f = poly3.random_poly(9, np.random.default_rng(71))
         run(circuits.build_iqp(f))
         assert builds == [len(f.terms)]
@@ -746,10 +759,74 @@ class TestBlocks:
                           Gate("h", (1,)), Gate("z", (1,)), Gate("z", (1,))] + column
         state = np.zeros(16)
         state[0] = 1.0
-        statevector._execute(state, 4, gates)
+        *_, k, steps = statevector._plan(4, gates, np.float64)
+        statevector._execute(state, k, steps)
         assert builds == [3, 2]
         assert state.astype(np.complex128).tobytes() == reference_run(
             Circuit(q=4, gates=gates)).tobytes()
+
+
+def plan_outline(steps):
+    """Each step of a plan as "count", ("blocks", [each entry as its
+    stretch's qubits or its diagonal gate's kind]), or (kind, qubit) for a
+    lone h or xrot."""
+    outline = []
+    for kernel, payload in steps:
+        if kernel is _turn:
+            outline.append("count")
+        elif kernel is statevector._run_blocks:
+            outline.append(("blocks", [tuple(g.targets[0] for g in gate) if index is None
+                                       else gate.kind for gate, index, _, _ in payload]))
+        else:
+            assert kernel is statevector._butterflies
+            outline.append((payload.kind, payload.targets[0]))
+    return outline
+
+
+class TestPlan:
+    # the bench's four shapes: the H column is written, the phases are one
+    # count run, the closing column's qubits inside a block are one stretch
+    # of one block run (2^16 float64 or 2^15 complex128 amplitudes), and
+    # the column's qubits past the block are lone butterflies
+    @pytest.mark.parametrize("shape, n, dtype, k, lone", [
+        ("iqp", 16, np.float64, 16, []),
+        ("iqp", 18, np.float64, 16, [("h", 16), ("h", 17)]),
+        ("qaoa", 8, np.complex128, 15, [("xrot", 15)]),
+        ("qaoa", 9, np.complex128, 15, [("xrot", 15), ("xrot", 16), ("xrot", 17)]),
+    ])
+    def test_plans_of_the_bench_shapes(self, shape, n, dtype, k, lone):
+        f = poly3.random_poly(n, np.random.default_rng(107))
+        if shape == "iqp":
+            circuit = circuits.build_iqp(f)
+        else:
+            circuit = circuits.qaoa_to_circuit(circuits.build_qaoa(f))
+        q = circuit.q
+        j, m, got_dtype, got_k, steps = statevector._plan(q, circuit.gates)
+        s = 1.0
+        for _ in range(q):
+            s *= 1.0 / math.sqrt(2.0)
+        assert (j, m, got_dtype, got_k) == (q, s, dtype, k)
+        assert plan_outline(steps) == ["count", ("blocks", [tuple(range(k))])] + lone
+        # the count run's pairs give each index its quarter turns
+        x = np.arange(1 << q)
+        want = np.zeros_like(x)
+        for g in circuit.gates[q:]:
+            if g.kind in SIGNS or g.kind == "diag_phase":
+                turns = 2 if g.kind in SIGNS else quarter_turns(g)
+                pattern = g.pattern or (1,) * len(g.targets)
+                want += turns * np.all([(x >> t) & 1 == b for t, b in zip(g.targets, pattern)],
+                                       axis=0)
+        assert np.array_equal(_quarter_counts(q, steps[0][1]), want % 256)
+
+    def test_steps_are_frozen(self):
+        gates = [Gate("h", (t,)) for t in range(3)] + [
+            Gate("diag_phase", (0, 2), theta=math.pi / 2, pattern=(0, 1)),
+            Gate("diag_phase", (1,), theta=0.3, pattern=(1,)), Gate("h", (0,)), Gate("h", (1,))]
+        *_, steps = statevector._plan(3, gates)
+        assert isinstance(steps, tuple)
+        for step in steps:
+            assert isinstance(step, tuple) and isinstance(step[1], (tuple, Gate))
+        assert plan_outline(steps) == ["count", ("blocks", ["diag_phase", (0, 1)])]
 
 
 # numpy's x86-64-v2 baseline: no AVX2, AVX-512 or FMA loops
@@ -833,3 +910,17 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.8 * (16 << 18)
+
+    def test_sample_peak_stays_under_eleven_twentieths_of_a_state(self):
+        # the float64 probabilities (half a state), summed in place into
+        # their cumulative sums; measured 0.50 (1.00 with a separate cumsum)
+        rng = np.random.default_rng(101)
+        state = rng.standard_normal(1 << 18) + 1j * rng.standard_normal(1 << 18)
+        state /= np.linalg.norm(state)
+        tracemalloc.start()
+        try:
+            sample(state, np.random.default_rng(103), size=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.55 * (16 << 18)
